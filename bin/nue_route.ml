@@ -32,7 +32,6 @@ module Experiment = Nue_pipeline.Experiment
 module Json = Nue_pipeline.Json
 module Sim = Nue_sim.Sim
 module Traffic = Nue_sim.Traffic
-module Obs = Nue_obs.Obs
 module Provenance = Nue_core.Provenance
 module Verify = Nue_routing.Verify
 
@@ -140,14 +139,7 @@ let print_trace = function
     print_endline "\ntrace counters (nonzero):";
     List.iter
       (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
-      snap.Obs.counters;
-    print_endline "trace timers:";
-    List.iter
-      (fun (k, (t : Obs.timer_total)) ->
-         if t.Obs.activations > 0 then
-           Printf.printf "  %-28s %.6f s over %d activation(s)\n" k
-             t.Obs.seconds t.Obs.activations)
-      snap.Obs.timers
+      snap
 
 let exit_code_of (o : Experiment.outcome) =
   match (o.Experiment.table, o.Experiment.metrics) with
@@ -235,8 +227,8 @@ let trace_t =
   Arg.(value & flag
        & info [ "trace" ]
            ~doc:"Enable the instrumentation layer for this run and report \
-                 its counters and timers (omega-memoization hit rate, heap \
-                 op counts, per-engine wall time, ...) as a trace table \
+                 its counters (omega-memoization hit rate, heap op counts, \
+                 CDG searches, escape fallbacks, ...) as a trace table \
                  (text) or a $(b,trace) object (json).")
 
 let build_t =
@@ -628,9 +620,9 @@ let export_cmd =
 (* Route with the provenance recorder on; only Nue feeds the recorder,
    so [explain]/[inspect] pin the engine rather than taking --algorithm
    (a trail for a baseline engine would always come back empty). *)
-let run_with_provenance built vcs =
+let recorded_route built vcs =
   let o, run =
-    Experiment.with_provenance (fun () ->
+    Provenance.with_recording (fun () ->
         Experiment.run ~vcs ~engine:"nue" built)
   in
   match (o.Experiment.table, run) with
@@ -644,7 +636,7 @@ let run_with_provenance built vcs =
 
 let explain_cmd =
   let run built vcs src dst format =
-    let _o, table, run = run_with_provenance built vcs in
+    let _o, table, run = recorded_route built vcs in
     match Provenance.explain run table ~src ~dst with
     | Some e ->
       (match format with
@@ -687,7 +679,7 @@ let explain_cmd =
 
 let inspect_cmd =
   let run built vcs layer pair dot_cdg dot_acyclic dot_witness =
-    let _o, table, run = run_with_provenance built vcs in
+    let _o, table, run = recorded_route built vcs in
     let layers = run.Provenance.r_layers in
     (* The pair overlay pins the layer: a path only makes sense in the
        CDG of the virtual layer its destination was routed on. *)

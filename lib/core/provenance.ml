@@ -92,13 +92,15 @@ type run_builder = {
   mutable rb_rev_trails : trail_builder list;
 }
 
-let sw = Obs.switch "provenance"
+(* Configuration, flipped by the driver and read by every domain: an
+   [Atomic], so a disabled recorder costs the hooks one load. *)
+let on = Atomic.make false
 
-let enabled () = Obs.switch_on sw
+let enabled () = Atomic.get on
 
-let enable () = Obs.set_switch sw true
+let enable () = Atomic.set on true
 
-let disable () = Obs.set_switch sw false
+let disable () = Atomic.set on false
 
 (* Run and layer builders live on the routing driver's domain: layers
    open and close outside any pool region, so workers only ever read

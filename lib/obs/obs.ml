@@ -1,5 +1,5 @@
-(* Domain-sharded registry. Registration (name -> id) is global and
-   mutex-protected; the *values* live in per-domain shards reached
+(* Domain-sharded counter registry. Registration (name -> id) is global
+   and mutex-protected; the *values* live in per-domain shards reached
    through [Domain.DLS], so two domains incrementing the same counter
    never race. A worker domain drains its shard when it finishes
    ([drain_shard]) and the spawning domain folds it in ([absorb_shard])
@@ -7,30 +7,13 @@
    merged totals are a function of the work performed, not of the
    schedule. *)
 
-type merge = Sum | Max
+type counter = { c_id : int; c_name : string }
 
-type counter = { c_id : int; c_name : string; c_merge : merge }
-
-type timer = { t_id : int; t_name : string }
-
-(* Per-domain value cells. Arrays grow on demand to the registered
+(* Per-domain value cells. The array grows on demand to the registered
    count; a missing cell reads as zero. *)
-type tcell = {
-  mutable total : float;
-  mutable acts : int;
-  (* Manual-scope state: clock value at [start], negative when idle.
-     Lets [stop] detect double-stop/double-start instead of silently
-     corrupting [total]. *)
-  mutable started_at : float;
-}
+type shard_state = { mutable cvals : int array }
 
-type shard_state = {
-  mutable cvals : int array;
-  mutable tvals : tcell array;
-}
-
-let shard_key =
-  Domain.DLS.new_key (fun () -> { cvals = [||]; tvals = [||] })
+let shard_key = Domain.DLS.new_key (fun () -> { cvals = [||] })
 
 let shard () = Domain.DLS.get shard_key
 
@@ -42,14 +25,6 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
-(* Named feature switches: one flag per name, off by default. Clients
-   keep the switch value and test it on the hot path, so a disabled
-   feature costs one load — the same discipline as [enabled] above, but
-   per-feature instead of registry-wide. The provenance recorder is the
-   first client. Switch state is an [Atomic] (not a shard): a switch is
-   configuration, flipped by the driver and read by every domain. *)
-type switch = { s_name : string; s_on : bool Atomic.t }
-
 let reg_mutex = Mutex.create ()
 
 let locked f =
@@ -58,36 +33,7 @@ let locked f =
   | v -> Mutex.unlock reg_mutex; v
   | exception e -> Mutex.unlock reg_mutex; raise e
 
-let switches : (string, switch) Hashtbl.t = Hashtbl.create 8
-
-let switch name =
-  locked (fun () ->
-    match Hashtbl.find_opt switches name with
-    | Some s -> s
-    | None ->
-      let s = { s_name = name; s_on = Atomic.make false } in
-      Hashtbl.replace switches name s;
-      s)
-
-let switch_on s = Atomic.get s.s_on
-
-let set_switch s b = Atomic.set s.s_on b
-
-let switch_name s = s.s_name
-
-(* Debug mode: unbalanced timer scopes and span exits raise instead of
-   saturating. Off in release so production tracing can never throw. *)
-let debug_on = Atomic.make false
-
-let debug () = Atomic.get debug_on
-
-let set_debug b = Atomic.set debug_on b
-
-let clock : (unit -> float) Atomic.t = Atomic.make Sys.time
-
-let set_clock f = Atomic.set clock f
-
-(* Registration tables: name -> handle, plus the reverse list for
+(* Registration table: name -> handle, plus the reverse list for
    snapshots. Ids are dense, assigned in registration order. *)
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
@@ -95,28 +41,16 @@ let counter_list : counter list ref = ref []
 
 let n_counters = ref 0
 
-let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
-
-let timer_list : timer list ref = ref []
-
-let n_timers = ref 0
-
-let register_counter name merge_kind =
+let counter name =
   locked (fun () ->
     match Hashtbl.find_opt counters name with
     | Some c -> c
     | None ->
-      let c = { c_id = !n_counters; c_name = name; c_merge = merge_kind } in
+      let c = { c_id = !n_counters; c_name = name } in
       incr n_counters;
       Hashtbl.replace counters name c;
       counter_list := c :: !counter_list;
       c)
-
-let counter name = register_counter name Sum
-
-let max_counter name = register_counter name Max
-
-let fresh_tcell () = { total = 0.0; acts = 0; started_at = -1.0 }
 
 (* Grow the calling domain's cells up to the registered count. Reading
    [!n_counters] without the lock is fine: registration only grows the
@@ -132,17 +66,6 @@ let ccells id =
   end;
   s.cvals
 
-let tcells id =
-  let s = shard () in
-  if id >= Array.length s.tvals then begin
-    let n = max (id + 1) !n_timers in
-    let nv = Array.init n (fun i ->
-      if i < Array.length s.tvals then s.tvals.(i) else fresh_tcell ())
-    in
-    s.tvals <- nv
-  end;
-  s.tvals
-
 let incr c =
   if Atomic.get on then begin
     let v = ccells c.c_id in
@@ -155,176 +78,34 @@ let add c n =
     v.(c.c_id) <- v.(c.c_id) + n
   end
 
-let note_max c n =
-  if Atomic.get on then begin
-    let v = ccells c.c_id in
-    if n > v.(c.c_id) then v.(c.c_id) <- n
-  end
-
 let peek c =
   let s = shard () in
   if c.c_id < Array.length s.cvals then s.cvals.(c.c_id) else 0
 
-let timer name =
-  locked (fun () ->
-    match Hashtbl.find_opt timers name with
-    | Some t -> t
-    | None ->
-      let t = { t_id = !n_timers; t_name = name } in
-      Stdlib.incr n_timers;
-      Hashtbl.replace timers name t;
-      timer_list := t :: !timer_list;
-      t)
-
-let time t f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let clk = Atomic.get clock in
-    let t0 = clk () in
-    let record () =
-      let cell = (tcells t.t_id).(t.t_id) in
-      cell.total <- cell.total +. (clk () -. t0);
-      cell.acts <- cell.acts + 1
-    in
-    match f () with
-    | r -> record (); r
-    | exception e -> record (); raise e
-  end
-
-(* Manual scopes, for callers whose begin/end cannot bracket a single
-   closure. Unbalanced use (start on a running timer, stop on an idle
-   one) raises in debug and saturates in release: the extra call is
-   dropped, never folded into [total]. *)
-let start t =
-  if Atomic.get on then begin
-    let cell = (tcells t.t_id).(t.t_id) in
-    if cell.started_at >= 0.0 then begin
-      if Atomic.get debug_on then
-        invalid_arg ("Obs.start: timer already running: " ^ t.t_name)
-      (* saturate: keep the original start point *)
-    end
-    else cell.started_at <- (Atomic.get clock) ()
-  end
-
-let stop t =
-  if Atomic.get on then begin
-    let cell = (tcells t.t_id).(t.t_id) in
-    if cell.started_at < 0.0 then begin
-      if Atomic.get debug_on then
-        invalid_arg ("Obs.stop: timer not running: " ^ t.t_name)
-      (* saturate: drop the unmatched stop *)
-    end
-    else begin
-      cell.total <- cell.total +. ((Atomic.get clock) () -. cell.started_at);
-      cell.acts <- cell.acts + 1;
-      cell.started_at <- -1.0
-    end
-  end
-
-let running t =
-  let s = shard () in
-  t.t_id < Array.length s.tvals && s.tvals.(t.t_id).started_at >= 0.0
-
-type timer_total = { seconds : float; activations : int }
-
-type snapshot = {
-  counters : (string * int) list;
-  timers : (string * timer_total) list;
-}
-
-let registered () = locked (fun () -> (!counter_list, !timer_list))
+type snapshot = (string * int) list
 
 let snapshot () =
-  let cl, tl = registered () in
-  let s = shard () in
-  let cs =
-    List.map
-      (fun c ->
-         let v = if c.c_id < Array.length s.cvals then s.cvals.(c.c_id) else 0 in
-         (c.c_name, v))
-      cl
-  in
-  let ts =
-    List.map
-      (fun t ->
-         let total, acts =
-           if t.t_id < Array.length s.tvals then
-             let cell = s.tvals.(t.t_id) in
-             (cell.total, cell.acts)
-           else (0.0, 0)
-         in
-         (t.t_name, { seconds = total; activations = acts }))
-      tl
-  in
-  let by_name (a, _) (b, _) = compare (a : string) b in
-  { counters = List.sort by_name cs; timers = List.sort by_name ts }
+  let cl = locked (fun () -> !counter_list) in
+  List.sort
+    (fun (a, _) (b, _) -> compare (a : string) b)
+    (List.map (fun c -> (c.c_name, peek c)) cl)
 
 let reset () =
   let s = shard () in
-  Array.fill s.cvals 0 (Array.length s.cvals) 0;
-  Array.iter
-    (fun cell ->
-       cell.total <- 0.0;
-       cell.acts <- 0;
-       cell.started_at <- -1.0)
-    s.tvals
+  Array.fill s.cvals 0 (Array.length s.cvals) 0
 
-(* {1 Shard transfer}
+let find s name = Option.value (List.assoc_opt name s) ~default:0
 
-   [drain_shard] snapshots the calling domain's cells and zeroes them;
-   [absorb_shard] folds a drained shard into the calling domain's cells
-   (Sum counters add, Max counters take the larger peak, timers add
-   both seconds and activations). A running manual scope does not
-   travel: only closed-scope totals are merged, so a worker must stop
-   its timers before draining. *)
-
-type shard = {
-  d_cvals : int array;
-  d_tvals : (float * int) array;
-}
+type shard = int array
 
 let drain_shard () =
-  let s = shard () in
-  let cv = Array.copy s.cvals in
-  let tv = Array.map (fun cell -> (cell.total, cell.acts)) s.tvals in
+  let cv = Array.copy (shard ()).cvals in
   reset ();
-  { d_cvals = cv; d_tvals = tv }
-
-(* Merge kind by id, looked up once per absorb. *)
-let merge_kinds n =
-  let kinds = Array.make n Sum in
-  locked (fun () ->
-    List.iter
-      (fun c -> if c.c_id < n then kinds.(c.c_id) <- c.c_merge)
-      !counter_list);
-  kinds
+  cv
 
 let absorb_shard d =
-  let nc = Array.length d.d_cvals in
-  if nc > 0 then begin
-    let v = ccells (nc - 1) in
-    let kinds = merge_kinds nc in
-    for id = 0 to nc - 1 do
-      match kinds.(id) with
-      | Sum -> v.(id) <- v.(id) + d.d_cvals.(id)
-      | Max -> if d.d_cvals.(id) > v.(id) then v.(id) <- d.d_cvals.(id)
-    done
-  end;
-  let nt = Array.length d.d_tvals in
-  if nt > 0 then begin
-    let tv = tcells (nt - 1) in
-    for id = 0 to nt - 1 do
-      let seconds, acts = d.d_tvals.(id) in
-      let cell = tv.(id) in
-      cell.total <- cell.total +. seconds;
-      cell.acts <- cell.acts + acts
-    done
+  let n = Array.length d in
+  if n > 0 then begin
+    let v = ccells (n - 1) in
+    Array.iteri (fun id x -> v.(id) <- v.(id) + x) d
   end
-
-let find s name =
-  match List.assoc_opt name s.counters with Some v -> v | None -> 0
-
-let find_timer s name =
-  match List.assoc_opt name s.timers with
-  | Some v -> v
-  | None -> { seconds = 0.0; activations = 0 }

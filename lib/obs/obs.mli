@@ -1,101 +1,45 @@
-(** Dependency-free counter/timer registry (the observability layer).
+(** Dependency-free counter registry (the observability layer's tallies).
 
     Every hot layer of the system (CDG construction, the constrained
     Dijkstra, the Fibonacci heap, the engines, the flit simulator)
-    registers named monotonic counters and scoped timers here at module
-    initialization. Instrumentation is {e off by default}: while
-    disabled, {!incr}/{!add} are a single flag test and {!time} is a
-    plain call of its argument — no allocation, no clock read — so the
-    counters can live inside inner loops without a measurable cost.
+    registers named monotonic counters here at module initialization.
+    Counting is {e off by default}: while disabled, {!incr}/{!add} are a
+    single flag test — no allocation — so the counters can live inside
+    inner loops without a measurable cost. Wall time is not kept here:
+    it belongs to the spans of {!Span} (and {!Profile}, which rides on
+    them), and per-engine route time is [Experiment.outcome.seconds].
 
     Registration (name → handle) is global and process-wide, matching
     how the paper's quantities (omega-memoization effectiveness, heap op
-    counts, per-engine wall time) are reported: as totals over a run.
-    The {e values}, however, are sharded per domain: every domain owns a
-    private set of cells (reached through domain-local storage), so
-    concurrent increments from a domain pool never race. A worker drains
-    its shard when its work ends ({!drain_shard}) and the spawning
-    domain folds it in ({!absorb_shard}); [Nue_parallel.Pool] does this
-    in worker-index order, making merged totals a function of the work
-    performed, not of the schedule. On a single domain nothing changes:
-    {!snapshot}/{!reset}/{!peek} act on the calling domain's shard, and
-    drivers that want per-phase numbers bracket the phase with {!reset}
-    and {!snapshot} as before.
-
-    This library deliberately depends on nothing (not even [unix]):
-    timers read the clock through {!set_clock}, which the pipeline
-    installs as [Unix.gettimeofday] at link time, falling back to
-    [Sys.time] otherwise. *)
+    counts, CDG searches, escape fallbacks) are reported: as totals over
+    a run. The {e values}, however, are sharded per domain: every domain
+    owns a private set of cells (reached through domain-local storage),
+    so concurrent increments from a domain pool never race. A worker
+    drains its shard when its work ends ({!drain_shard}) and the
+    spawning domain folds it in ({!absorb_shard}); [Nue_parallel.Pool]
+    does this in worker-index order, making merged totals a function of
+    the work performed, not of the schedule. On a single domain nothing
+    changes: {!snapshot}/{!reset}/{!peek} act on the calling domain's
+    shard, and drivers that want per-phase numbers bracket the phase
+    with {!reset} and {!snapshot}. *)
 
 type counter
 (** A named monotonic counter. Registration is idempotent: two
     [counter "x"] calls return the same cell. *)
 
-type timer
-(** A named accumulating timer: total seconds plus activation count. *)
-
 (** {1 Enabling} *)
 
 val enabled : unit -> bool
-(** Instrumentation state; [false] at startup. *)
+(** Counting state; [false] at startup. *)
 
 val enable : unit -> unit
 
 val disable : unit -> unit
 
-val debug : unit -> bool
-(** Debug mode; [false] at startup. While set, unbalanced timer scopes
-    ({!start}/{!stop}) and unbalanced span exits ({!Span.exit}) raise
-    [Invalid_argument]; otherwise they saturate (the unmatched call is
-    dropped and totals stay uncorrupted). *)
-
-val set_debug : bool -> unit
-
-(** {1 Feature switches}
-
-    Named boolean flags for opt-in subsystems that are not plain
-    counters or timers (the provenance recorder, for example). Like the
-    registry-wide flag, a switch is off at startup, and testing it is a
-    single load — instrumented code guards both the recording and the
-    construction of its arguments behind {!switch_on}, so a disabled
-    feature never allocates. *)
-
-type switch
-(** A named feature flag. Registration is idempotent: two [switch "x"]
-    calls return the same cell. *)
-
-val switch : string -> switch
-
-val switch_on : switch -> bool
-(** Current state; [false] until {!set_switch}. *)
-
-val set_switch : switch -> bool -> unit
-
-val switch_name : switch -> string
-
-val set_clock : (unit -> float) -> unit
-(** Install the wall-clock source used by {!time} (seconds, any fixed
-    epoch). Defaults to [Sys.time] (CPU seconds) so the library carries
-    no [unix] dependency; [Nue_pipeline.Experiment] installs
-    [Unix.gettimeofday] when linked. *)
-
 (** {1 Counters} *)
 
 val counter : string -> counter
-(** Register (or look up) the counter with this name. Shard merges sum
-    its per-domain values. *)
-
-val max_counter : string -> counter
-(** Register (or look up) a {e peak} counter: {!absorb_shard} merges it
-    by taking the maximum of the two shards' values instead of their
-    sum — the right semantics for high-water marks observed
-    independently on each domain. Registration is idempotent, but the
-    merge kind is fixed by the first registration. *)
-
-val note_max : counter -> int -> unit
-(** Raise the counter to [n] if [n] is larger (the per-domain peak
-    update for a {!max_counter}). Never allocates; a single flag test
-    when disabled. *)
+(** Register (or look up) the counter with this name. *)
 
 val incr : counter -> unit
 (** Add 1 when enabled; a single flag test when disabled. Never
@@ -107,68 +51,35 @@ val add : counter -> int -> unit
 val peek : counter -> int
 (** Current value (regardless of the enabled flag). *)
 
-(** {1 Timers} *)
-
-val timer : string -> timer
-(** Register (or look up) the timer with this name. *)
-
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk; when enabled, add its wall time to the timer and
-    bump its activation count. Exceptions propagate (and the elapsed
-    time is still recorded). *)
-
-val start : timer -> unit
-(** Open a manual scope on the timer (for begin/end pairs that cannot
-    bracket one closure). Starting an already-running timer raises in
-    {!debug} mode and is dropped otherwise — the original start point is
-    kept, so totals never double-count. No-op while disabled. *)
-
-val stop : timer -> unit
-(** Close the manual scope: accumulate elapsed time, bump activations.
-    Stopping an idle timer (double-stop) raises in {!debug} mode and is
-    dropped otherwise. No-op while disabled. *)
-
-val running : timer -> bool
-(** Whether a manual scope is currently open on the timer. *)
-
 (** {1 Snapshots} *)
 
-type timer_total = { seconds : float; activations : int }
-
-type snapshot = {
-  counters : (string * int) list;   (** sorted by name *)
-  timers : (string * timer_total) list;  (** sorted by name *)
-}
+type snapshot = (string * int) list
+(** Counter values, sorted by name. *)
 
 val snapshot : unit -> snapshot
-(** Current values of every registered counter and timer, sorted by
-    name — the order is a function of the names only, never of
-    registration or mutation order. *)
+(** Current value of every registered counter, sorted by name — the
+    order is a function of the names only, never of registration or
+    mutation order. *)
 
 val reset : unit -> unit
-(** Zero every counter and timer cell of the calling domain's shard
+(** Zero every counter cell of the calling domain's shard
     (registrations are kept). *)
+
+val find : snapshot -> string -> int
+(** Counter value in a snapshot; 0 when absent. *)
 
 (** {1 Shard transfer}
 
     The merge half of the per-domain sharding: a worker domain calls
     {!drain_shard} after its tasks finish, hands the result to the
-    spawning domain, and the spawner calls {!absorb_shard}. Sum counters
-    add, {!max_counter} peaks take the larger value, timers add both
-    seconds and activations. Running manual scopes do not travel — stop
-    timers before draining. *)
+    spawning domain, and the spawner calls {!absorb_shard}, which adds
+    the drained values to its own. *)
 
 type shard
 (** A drained, immutable copy of one domain's cells. *)
 
 val drain_shard : unit -> shard
-(** Snapshot the calling domain's cells and zero them. *)
+(** Copy the calling domain's cells and zero them. *)
 
 val absorb_shard : shard -> unit
-(** Fold a drained shard into the calling domain's cells. *)
-
-val find : snapshot -> string -> int
-(** Counter value in a snapshot; 0 when absent. *)
-
-val find_timer : snapshot -> string -> timer_total
-(** Timer totals in a snapshot; zeros when absent. *)
+(** Add a drained shard into the calling domain's cells. *)

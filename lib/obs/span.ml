@@ -33,6 +33,14 @@ let enable () = Atomic.set on true
 
 let disable () = Atomic.set on false
 
+(* Debug mode: unbalanced span exits raise instead of saturating. Off
+   in release so production tracing can never throw. *)
+let debug_on = Atomic.make false
+
+let debug () = Atomic.get debug_on
+
+let set_debug b = Atomic.set debug_on b
+
 let capacity = Atomic.make 262_144
 
 let set_capacity n =
@@ -156,7 +164,7 @@ let record s name phase args =
 
    [enter] pushes the span name and returns its depth as the handle;
    [exit] must receive the handle of the innermost open span. A
-   mismatch raises under [Obs.debug] and saturates otherwise: exits
+   mismatch raises under [debug] and saturates otherwise: exits
    with no matching open span are ignored, exits over still-open
    children close the children first. Totals are never corrupted
    either way. *)
@@ -188,11 +196,11 @@ let exit ?(args = []) h =
   if Atomic.get on && h > null_handle then begin
     let s = st () in
     if s.depth < h then begin
-      if Obs.debug () then
+      if debug () then
         invalid_arg "Span.exit: span already closed (double exit)"
     end
     else begin
-      if s.depth > h && Obs.debug () then
+      if s.depth > h && debug () then
         invalid_arg "Span.exit: unclosed child spans";
       while s.depth > h do
         pop_record s []

@@ -49,6 +49,13 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
+val debug : unit -> bool
+(** Debug mode; [false] at startup. While set, unbalanced span exits
+    ({!exit}) raise [Invalid_argument]; otherwise they saturate (see
+    {!exit}). *)
+
+val set_debug : bool -> unit
+
 (** {1 Clock} *)
 
 val set_clock : (unit -> int) -> unit
@@ -71,7 +78,7 @@ val enter : ?args:(string * arg) list -> string -> handle
 val exit : ?args:(string * arg) list -> handle -> unit
 (** Close the span opened by {!enter}. Unbalanced use (double exit, or
     exiting over still-open children) raises [Invalid_argument] when
-    [Obs.debug] is set and saturates otherwise: double exits are
+    {!debug} is set and saturates otherwise: double exits are
     dropped, open children are closed first. Either way the buffer stays
     well-nested. *)
 

@@ -22,8 +22,7 @@ module Profile = Nue_obs.Profile
 let () = Nue_core.Nue_engine.ensure_registered ()
 
 (* Nue_obs itself is dependency-free and defaults to [Sys.time]; the
-   pipeline has [unix], so give every linked driver real wall clocks. *)
-let () = Obs.set_clock Unix.gettimeofday
+   pipeline has [unix], so give every linked driver a real wall clock. *)
 let () = Profile.set_clock Unix.gettimeofday
 
 let c_runs = Obs.counter "pipeline.runs"
@@ -278,10 +277,9 @@ let outcome_to_json o =
    order is the snapshot's (sorted by name), so the rendering is stable
    no matter in which order counters were registered or bumped. *)
 let trace_to_json (s : Obs.snapshot) =
-  (* Sort defensively: [Obs.snapshot] emits sorted lists, but the record
+  (* Sort defensively: [Obs.snapshot] emits a sorted list, but the type
      is transparent, and the rendering must not depend on key order. *)
-  let sort l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  let s = { Obs.counters = sort s.Obs.counters; timers = sort s.Obs.timers } in
+  let s = List.sort (fun (a, _) (b, _) -> compare a b) s in
   let c = Obs.find s in
   let ratio num den =
     if den = 0 then Json.Null else Json.Float (float_of_int num /. float_of_int den)
@@ -292,16 +290,7 @@ let trace_to_json (s : Obs.snapshot) =
   in
   Json.Obj
     [ ("counters",
-       Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s.Obs.counters));
-      ("timers",
-       Json.Obj
-         (List.map
-            (fun (k, (t : Obs.timer_total)) ->
-               (k,
-                Json.Obj
-                  [ ("seconds", Json.Float t.Obs.seconds);
-                    ("activations", Json.Int t.Obs.activations) ]))
-            s.Obs.timers));
+       Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) s));
       ("derived",
        Json.Obj
          [ ("omega_memo_hit_rate", ratio memo_hits (c "cdg.usable_calls"));
@@ -315,22 +304,46 @@ let trace_to_json (s : Obs.snapshot) =
            ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
          ]) ]
 
-let trace_snapshot () = Obs.snapshot ()
+(* One recorder's switch and reset, for [recording]. *)
+type recorder = {
+  on : unit -> bool;
+  enable : unit -> unit;
+  disable : unit -> unit;
+  clear : unit -> unit;
+}
 
-let with_trace f =
-  let was = Obs.enabled () in
-  Obs.enable ();
-  Obs.reset ();
+let obs_recorder =
+  { on = Obs.enabled; enable = Obs.enable; disable = Obs.disable;
+    clear = Obs.reset }
+
+let span_recorder =
+  { on = Span.enabled; enable = Span.enable; disable = Span.disable;
+    clear = Span.reset }
+
+let profile_recorder =
+  { on = Profile.enabled; enable = Profile.enable; disable = Profile.disable;
+    clear = Profile.reset }
+
+(* Run [f] with [recs] cleared and enabled (in order), then [collect]
+   the result and switch back off, in reverse order, every recorder that
+   was off before — also when [f] raises. *)
+let recording recs collect f =
+  let restore =
+    List.rev_map (fun r -> if r.on () then ignore else r.disable) recs
+  in
+  List.iter (fun r -> r.clear (); r.enable ()) recs;
   let finish () =
-    let s = Obs.snapshot () in
-    if not was then Obs.disable ();
-    s
+    let v = collect () in
+    List.iter (fun off -> off ()) restore;
+    v
   in
   match f () with
   | r -> (r, finish ())
   | exception e ->
     ignore (finish ());
     raise e
+
+let with_trace f = recording [ obs_recorder ] Obs.snapshot f
 
 let sim_to_json (o : Sim.outcome) =
   Json.Obj
@@ -589,8 +602,6 @@ let sweep_to_json s =
 
 module Provenance = Nue_core.Provenance
 
-let with_provenance f = Provenance.with_recording f
-
 let check_to_json net (c : Provenance.check) =
   let open Json in
   let base =
@@ -654,43 +665,14 @@ let explanation_to_json (table : Table.t) (e : Provenance.explanation) =
       ("impasses", Int e.Provenance.e_impasses);
       ("hops", List (List.map hop_to_json e.Provenance.e_hops)) ]
 
-let with_spans f =
-  let was = Span.enabled () in
-  Span.reset ();
-  Span.enable ();
-  let finish () =
-    let evs = Span.events () in
-    if not was then Span.disable ();
-    evs
-  in
-  match f () with
-  | r -> (r, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
+let with_spans f = recording [ span_recorder ] Span.events f
 
 (* {1 Resource profiling} *)
 
+(* Alloc attribution rides on the span scope hooks, so the tracer must
+   be on for the profiled window too. *)
 let with_profile f =
-  (* Alloc attribution rides on the span scope hooks, so the tracer
-     must be on for the profiled window; both flags are restored. *)
-  let span_was = Span.enabled () in
-  let prof_was = Profile.enabled () in
-  Span.reset ();
-  Span.enable ();
-  Profile.enable ();
-  Profile.reset ();
-  let finish () =
-    let report = Profile.report () in
-    if not prof_was then Profile.disable ();
-    if not span_was then Span.disable ();
-    report
-  in
-  match f () with
-  | r -> (r, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
+  recording [ span_recorder; profile_recorder ] Profile.report f
 
 let profile_to_json (p : Profile.report) =
   let rec node_to_json (n : Profile.alloc_node) =

@@ -241,13 +241,6 @@ val telemetry_to_json : Nue_sim.Sim.telemetry -> Json.t
 
 (** {1 Provenance (the [explain]/[inspect] layer)} *)
 
-val with_provenance :
-  (unit -> 'a) -> 'a * Nue_core.Provenance.run option
-(** Run a thunk with the routing-provenance recorder enabled and return
-    its result together with the recorded run ([None] if the thunk never
-    routed with Nue). Restores the recorder's previous state, also on
-    exception. *)
-
 val explanation_to_json :
   Nue_routing.Table.t -> Nue_core.Provenance.explanation -> Json.t
 (** The [nue_route explain --format json] rendering: pair metadata
@@ -259,15 +252,13 @@ val explanation_to_json :
 (** {1 Tracing (the observability layer)}
 
     Linking the pipeline installs [Unix.gettimeofday] as
-    {!Nue_obs.Obs}'s clock, so engine timers report wall time. *)
+    {!Nue_obs.Profile}'s clock, so profiles report wall time. *)
 
 val with_trace : (unit -> 'a) -> 'a * Nue_obs.Obs.snapshot
-(** Run a thunk with instrumentation enabled (resetting all counters
-    first) and return its result together with the final snapshot.
-    Restores the previous enabled/disabled state afterwards. *)
-
-val trace_snapshot : unit -> Nue_obs.Obs.snapshot
-(** The current counter/timer state (shorthand for [Obs.snapshot]). *)
+(** Run a thunk with counting enabled (resetting all counters first)
+    and return its result together with the final snapshot. Restores
+    the previous enabled/disabled state afterwards, also on
+    exception. *)
 
 val with_spans : (unit -> 'a) -> 'a * Nue_obs.Span.event list
 (** Run a thunk with the span tracer reset and enabled and return its
@@ -297,8 +288,7 @@ val profile_to_json : Nue_obs.Profile.report -> Json.t
     variants, collection counts, children). *)
 
 val trace_to_json : Nue_obs.Obs.snapshot -> Json.t
-(** Render a snapshot as [{"counters": ..., "timers": ..., "derived":
-    ...}]. The derived section reports the paper's headline
+(** Render a snapshot as [{"counters": ..., "derived": ...}]. The derived section reports the paper's headline
     instrumentation quantities — omega-memoization hit rate
     (Section 4.6.1), CDG search/accept rates, total heap ops and
     cascading-cut rate, and the Pearce-Kelly reorder rate. Keys are

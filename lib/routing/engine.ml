@@ -47,14 +47,13 @@ let registry : (module ENGINE) list ref = ref []
 
 (* Wrap an engine so no caller can observe an exception or an
    un-validated spec: the matrix guarantee (structured errors only).
-   The wrapper is also where every engine's wall time is accumulated
-   (timer ["engine.<name>"]), so per-engine timings come for free with
+   The wrapper is also where every engine run gets its
+   ["engine.<name>"] span, so per-engine profiles come for free with
    registration. *)
 let safety_wrap (module E : ENGINE) : (module ENGINE) =
   (module struct
     let name = E.name
     let capabilities = E.capabilities
-    let timer = Obs.timer ("engine." ^ E.name)
     let span_name = "engine." ^ E.name
 
     let route s =
@@ -62,20 +61,17 @@ let safety_wrap (module E : ENGINE) : (module ENGINE) =
         Error (Engine_error.Invalid_spec "vcs must be >= 1")
       else begin
         let result =
-          Obs.time timer (fun () ->
-              Span.with_ span_name
-                ~args:
-                  [ ("vcs", Span.Int s.vcs);
-                    ("channels", Span.Int (Network.num_channels s.net)) ]
-                (fun () ->
-                   match E.route s with
-                   | r -> r
-                   | exception ((Out_of_memory | Stack_overflow) as e) ->
-                     raise e
-                   | exception e ->
-                     Error
-                       (Engine_error.Internal
-                          (name ^ ": " ^ Printexc.to_string e))))
+          Span.with_ span_name
+            ~args:
+              [ ("vcs", Span.Int s.vcs);
+                ("channels", Span.Int (Network.num_channels s.net)) ]
+            (fun () ->
+               match E.route s with
+               | r -> r
+               | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+               | exception e ->
+                 Error
+                   (Engine_error.Internal (name ^ ": " ^ Printexc.to_string e)))
         in
         (match result with
          | Ok _ -> Obs.incr c_routes_ok

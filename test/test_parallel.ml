@@ -20,8 +20,8 @@
      fingerprints, table shape (no torn/duplicate/missing
      destinations) and Verify verdicts against jobs=1.
 
-   Plus unit tests for the shard merge semantics themselves (Sum, Max,
-   timer totals). *)
+   Plus unit tests for the shard merge semantics themselves (counters
+   sum whatever the split, drain/absorb, span events are absorbed). *)
 
 module Network = Nue_netgraph.Network
 module Topology = Nue_netgraph.Topology
@@ -79,7 +79,7 @@ let counters_at jobs built =
     Experiment.with_trace (fun () ->
         Experiment.run ~vcs:4 ~engine:"nue" built)
   in
-  snap.Obs.counters
+  snap
 
 let test_obs_counters_equal () =
   let built = Helpers.dense_random_built () in
@@ -96,7 +96,7 @@ let test_obs_counters_equal () =
 
 let trails_at jobs built =
   with_jobs jobs @@ fun () ->
-  let outcome, run = Experiment.with_provenance (fun () ->
+  let outcome, run = Provenance.with_recording (fun () ->
       Experiment.run ~vcs:4 ~engine:"nue" built)
   in
   (match outcome.Experiment.table with
@@ -131,8 +131,6 @@ let test_provenance_trails_equal () =
 (* {1 Shard merge semantics} *)
 
 let c_sum = Obs.counter "test.parallel.sum"
-let c_max = Obs.max_counter "test.parallel.max"
-let t_merge = Obs.timer "test.parallel.timer"
 
 let with_obs f =
   let was = Obs.enabled () in
@@ -145,18 +143,28 @@ let test_merge_sum () =
   Pool.run ~jobs:4 ~chunk:8 ~n:100 (fun i -> if i mod 2 = 0 then Obs.incr c_sum);
   Alcotest.(check int) "summed across shards" 50 (Obs.peek c_sum)
 
-let test_merge_max () =
-  with_obs @@ fun () ->
-  Pool.run ~jobs:4 ~chunk:4 ~n:64 (fun i -> Obs.note_max c_max (i * 3));
-  Alcotest.(check int) "max across shards" (63 * 3) (Obs.peek c_max)
+(* The merged total is a function of the work, not of the worker count
+   or chunking that split it. *)
+let test_merge_jobs_invariant () =
+  List.iter
+    (fun (jobs, chunk) ->
+       with_obs @@ fun () ->
+       Pool.run ~jobs ~chunk ~n:100 (fun i -> Obs.add c_sum i);
+       Alcotest.(check int)
+         (Printf.sprintf "jobs=%d chunk=%d" jobs chunk) 4950 (Obs.peek c_sum))
+    [ (1, 100); (2, 7); (4, 1); (8, 13) ]
 
-let test_merge_timers () =
+(* Draining hands the values over and zeroes the cells; absorbing adds
+   them back, so a drain/absorb round trip is the identity. *)
+let test_drain_absorb_round_trip () =
   with_obs @@ fun () ->
-  Pool.run ~jobs:4 ~chunk:4 ~n:40 (fun _ -> Obs.time t_merge (fun () -> ()));
-  let snap = Obs.snapshot () in
-  let t = Obs.find_timer snap "test.parallel.timer" in
-  Alcotest.(check int) "activations summed" 40 t.Obs.activations;
-  Alcotest.(check bool) "time non-negative" true (t.Obs.seconds >= 0.0)
+  Obs.add c_sum 5;
+  let d = Obs.drain_shard () in
+  Alcotest.(check int) "drain zeroes" 0 (Obs.peek c_sum);
+  Obs.absorb_shard d;
+  Alcotest.(check int) "absorb restores" 5 (Obs.peek c_sum);
+  Obs.absorb_shard d;
+  Alcotest.(check int) "absorb adds" 10 (Obs.peek c_sum)
 
 let test_span_events_absorbed () =
   let was = Span.enabled () in
@@ -330,8 +338,10 @@ let suite =
           Alcotest.test_case "provenance trails equal sequential" `Quick
             test_provenance_trails_equal;
           Alcotest.test_case "merge: counters sum" `Quick test_merge_sum;
-          Alcotest.test_case "merge: max counters max" `Quick test_merge_max;
-          Alcotest.test_case "merge: timer totals" `Quick test_merge_timers;
+          Alcotest.test_case "merge: sum independent of jobs" `Quick
+            test_merge_jobs_invariant;
+          Alcotest.test_case "merge: drain/absorb round trip" `Quick
+            test_drain_absorb_round_trip;
           Alcotest.test_case "merge: spans absorbed" `Quick
             test_span_events_absorbed;
           Alcotest.test_case "merge: span structure matches sequential" `Quick

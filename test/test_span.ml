@@ -7,7 +7,6 @@
    rendering. *)
 
 module Span = Nue_obs.Span
-module Obs = Nue_obs.Obs
 module Experiment = Nue_pipeline.Experiment
 
 let test_case = Alcotest.test_case
@@ -17,7 +16,7 @@ let test_case = Alcotest.test_case
 let scrub () =
   Span.disable ();
   Span.reset ();
-  Obs.set_debug false
+  Span.set_debug false
 
 (* {1 A minimal JSON parser}
 
@@ -280,7 +279,7 @@ let disabled_path_does_not_allocate () =
 let exit_guard_raises_in_debug () =
   scrub ();
   Span.enable ();
-  Obs.set_debug true;
+  Span.set_debug true;
   let h = Span.enter "test.span.outer" in
   Span.exit h;
   Alcotest.(check bool) "double exit raises" true

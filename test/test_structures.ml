@@ -2,7 +2,6 @@
 
 module Prng = Nue_structures.Prng
 module Fib_heap = Nue_structures.Fib_heap
-module Union_find = Nue_structures.Union_find
 module Bitset = Nue_structures.Bitset
 
 let test_case = Alcotest.test_case
@@ -172,32 +171,6 @@ let heap_interleaved_ops () =
   done;
   Alcotest.(check int) "sizes agree" (Hashtbl.length model) (Fib_heap.size h)
 
-(* {1 Union_find} *)
-
-let uf_basics () =
-  let u = Union_find.create 10 in
-  Alcotest.(check int) "initial sets" 10 (Union_find.count u);
-  Alcotest.(check bool) "union works" true (Union_find.union u 0 1);
-  Alcotest.(check bool) "re-union is false" false (Union_find.union u 1 0);
-  Alcotest.(check bool) "same" true (Union_find.same u 0 1);
-  Alcotest.(check bool) "not same" false (Union_find.same u 0 2);
-  Alcotest.(check int) "count dropped" 9 (Union_find.count u)
-
-let uf_set_size () =
-  let u = Union_find.create 6 in
-  ignore (Union_find.union u 0 1);
-  ignore (Union_find.union u 1 2);
-  Alcotest.(check int) "size 3" 3 (Union_find.set_size u 2);
-  Alcotest.(check int) "singleton" 1 (Union_find.set_size u 5)
-
-let uf_transitive () =
-  let u = Union_find.create 100 in
-  for i = 0 to 98 do
-    ignore (Union_find.union u i (i + 1))
-  done;
-  Alcotest.(check int) "one set" 1 (Union_find.count u);
-  Alcotest.(check bool) "ends connected" true (Union_find.same u 0 99)
-
 (* {1 Bitset} *)
 
 let bitset_basics () =
@@ -287,10 +260,6 @@ let suite =
        test_case "size tracking" `Quick heap_size_tracking;
        test_case "interleaved ops vs model" `Quick heap_interleaved_ops;
        QCheck_alcotest.to_alcotest qcheck_heap_sort ]);
-    ("union_find",
-     [ test_case "basics" `Quick uf_basics;
-       test_case "set_size" `Quick uf_set_size;
-       test_case "transitive chain" `Quick uf_transitive ]);
     ("bitset",
      [ test_case "basics" `Quick bitset_basics;
        test_case "bounds" `Quick bitset_bounds;
