@@ -22,13 +22,14 @@
     toolchain; see DESIGN.md for the substitution rationale. *)
 
 type config = {
-  buffer_flits : int;   (** input buffer capacity per (channel, VL) *)
-  link_latency : int;   (** cycles a flit spends on a wire *)
-  flit_bytes : int;
-  mtu_bytes : int;      (** maximum packet payload; messages are split *)
+  buffer_flits : int;   (** input buffer capacity per (channel, VL), >= 1 *)
+  link_latency : int;   (** cycles a flit spends on a wire, >= 0 *)
+  flit_bytes : int;     (** >= 1 *)
+  mtu_bytes : int;      (** maximum packet payload, >= 1; messages are
+                            split *)
   link_gbs : float;     (** physical link rate, GB/s (QDR = 4.0) *)
   max_cycles : int;
-  watchdog : int;       (** idle cycles before declaring deadlock *)
+  watchdog : int;       (** idle cycles before declaring deadlock, >= 1 *)
   injection_rate : float;
       (** offered load in (0, 1]: flits each terminal may inject per
           cycle (a per-node token bucket capped at one token). At 1.0
@@ -108,9 +109,10 @@ val run :
   traffic:Traffic.message list ->
   outcome
 (** Simulate the traffic to completion (or watchdog/cycle-cap abort).
-    @raise Invalid_argument if a message endpoint is not a terminal, a
-    destination is not routed by the table, or the table needs more VLs
-    than the paths declare. *)
+    @raise Invalid_argument if a config field is out of the range
+    documented on {!config} (["Sim.run: FIELD must be ..."]), a message
+    endpoint is not a terminal, a destination is not routed by the
+    table, or the table needs more VLs than the paths declare. *)
 
 val run_with_telemetry :
   ?config:config ->
