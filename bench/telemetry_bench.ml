@@ -90,8 +90,10 @@ let run ?(full = false) () =
                 (Common.cell 11 o.Experiment.engine)
             | Ok table ->
               let out, t =
-                Experiment.simulate_with_telemetry ~message_bytes table
+                Experiment.simulate ~telemetry:Sim.default_telemetry
+                  ~message_bytes table
               in
+              let t = Option.get t in
               Printf.printf "%s%s%s%s%s%s%s%s\n"
                 (Common.cell 14 topo_name)
                 (Common.cell 11 o.Experiment.engine)

@@ -42,11 +42,11 @@ let run ?(full = false) () =
        let built = Experiment.build setup in
        List.iter
          (fun (module E : Engine.ENGINE) ->
-            let o, snap =
-              Experiment.with_trace (fun () ->
+            let o, obs =
+              Experiment.observe [ Experiment.Counters ] (fun () ->
                   Experiment.run ~vcs:8 ~engine:E.name built)
             in
-            let c = Obs.find snap in
+            let c = Obs.find (Option.get obs.Experiment.counters) in
             let usable = c "cdg.usable_calls" in
             let memo_pct =
               if usable = 0 then "-"
@@ -75,13 +75,13 @@ let run ?(full = false) () =
               (Common.cell 9 status);
             rows :=
               Json.Obj
-                [ ("topology", Json.Str topo_name);
-                  ("engine", Json.Str o.Experiment.engine);
-                  ("seconds", Json.Float o.Experiment.seconds);
-                  ("applicable",
-                   Json.Bool (Result.is_ok o.Experiment.table));
-                  ("status", Json.Str status);
-                  ("trace", Experiment.trace_to_json snap) ]
+                ([ ("topology", Json.Str topo_name);
+                   ("engine", Json.Str o.Experiment.engine);
+                   ("seconds", Json.Float o.Experiment.seconds);
+                   ("applicable",
+                    Json.Bool (Result.is_ok o.Experiment.table));
+                   ("status", Json.Str status) ]
+                 @ Experiment.observation_to_json obs)
               :: !rows)
          (Engine.all ()))
     (setups ~full);

@@ -121,25 +121,17 @@ let json_payload built (o : Experiment.outcome) extra =
        ("outcome", Experiment.outcome_to_json o) ]
      @ extra)
 
-(* Run a thunk, tracing it when [--trace] was given; the snapshot is
-   [None] otherwise. *)
-let maybe_trace trace f =
-  if trace then
-    let r, snap = Experiment.with_trace f in
-    (r, Some snap)
-  else (f (), None)
+(* The recorders behind [--trace]. *)
+let tracing trace = if trace then [ Experiment.Counters ] else []
 
-let trace_extra = function
-  | None -> []
-  | Some snap -> [ ("trace", Experiment.trace_to_json snap) ]
-
-let print_trace = function
-  | None -> ()
-  | Some snap ->
-    print_endline "\ntrace counters (nonzero):";
-    List.iter
-      (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
-      snap
+let print_counters (obs : Experiment.observation) =
+  Option.iter
+    (fun snap ->
+       print_endline "\ntrace counters (nonzero):";
+       List.iter
+         (fun (k, v) -> if v <> 0 then Printf.printf "  %-28s %d\n" k v)
+         snap)
+    obs.Experiment.counters
 
 let exit_code_of (o : Experiment.outcome) =
   match (o.Experiment.table, o.Experiment.metrics) with
@@ -244,17 +236,19 @@ let build_t =
 let route_cmd =
   let run built algorithm vcs jobs trace format =
     set_jobs jobs;
-    let o, snap =
-      maybe_trace trace (fun () -> Experiment.run ~vcs ~engine:algorithm built)
+    let o, obs =
+      Experiment.observe (tracing trace) (fun () ->
+          Experiment.run ~vcs ~engine:algorithm built)
     in
     match format with
     | `Json ->
       print_endline
-        (Json.to_string_pretty (json_payload built o (trace_extra snap)));
+        (Json.to_string_pretty
+           (json_payload built o (Experiment.observation_to_json obs)));
       exit (exit_code_of o)
     | _ ->
       let _ = report_text built o in
-      print_trace snap;
+      print_counters obs;
       exit (exit_code_of o)
   in
   Cmd.v (Cmd.info "route" ~doc:"Route a topology and verify the result")
@@ -286,41 +280,29 @@ let print_telemetry (t : Sim.telemetry) =
 let sim_cmd =
   let run built algorithm vcs message_bytes trace telemetry_path format =
     let telemetry_on = telemetry_path <> "" in
+    let telemetry = if telemetry_on then Some Sim.default_telemetry else None in
     (* The trace window covers routing and the flit simulation, so the
        snapshot carries both the CDG/heap counters and sim.* counters.
        With --telemetry the same window is also spanned: routing spans
        are tick-stamped, the sim span is cycle-stamped. *)
-    let body () =
-      let o = Experiment.run ~vcs ~engine:algorithm built in
-      let sim =
-        match o.Experiment.table with
-        | Ok table ->
-          if telemetry_on then
-            let out, telem =
-              Experiment.simulate_with_telemetry ~message_bytes table
-            in
-            Some (out, Some telem)
-          else Some (Experiment.simulate ~message_bytes table, None)
-        | Error _ -> None
-      in
-      (o, sim)
+    let (o, sim), obs =
+      Experiment.observe
+        (tracing trace @ if telemetry_on then [ Experiment.Spans ] else [])
+        (fun () ->
+           let o = Experiment.run ~vcs ~engine:algorithm built in
+           ( o,
+             Result.to_option o.Experiment.table
+             |> Option.map (Experiment.simulate ?telemetry ~message_bytes) ))
     in
-    let (o, sim), snap =
-      maybe_trace trace (fun () ->
-          if telemetry_on then begin
-            let r, _events = Experiment.with_spans body in
-            let oc = open_out telemetry_path in
-            output_string oc (Nue_obs.Span.to_chrome_string ());
-            close_out oc;
-            r
-          end
-          else body ())
-    in
+    if telemetry_on then begin
+      let oc = open_out telemetry_path in
+      output_string oc (Nue_obs.Span.to_chrome_string ());
+      close_out oc
+    end;
+    let envelope = Experiment.observation_to_json obs in
     match (o.Experiment.table, sim, format) with
-    | Error e, _, `Json ->
-      print_endline
-        (Json.to_string_pretty (json_payload built o (trace_extra snap)));
-      ignore e;
+    | Error _, _, `Json ->
+      print_endline (Json.to_string_pretty (json_payload built o envelope));
       exit 1
     | Error e, _, _ ->
       Printf.eprintf "routing failed: %s\n" (Engine_error.to_string e);
@@ -338,7 +320,7 @@ let sim_cmd =
            (Json.to_string_pretty
               (json_payload built o
                  ([ ("sim", Experiment.sim_to_json out) ]
-                  @ telem_extra @ trace_extra snap)))
+                  @ telem_extra @ envelope)))
        | _ ->
          let _ = report_text built o in
          Printf.printf
@@ -353,7 +335,7 @@ let sim_cmd =
             print_telemetry t;
             Printf.printf "wrote %s\nspan flamegraph:\n%s" telemetry_path
               (Nue_obs.Span.flamegraph ()));
-         print_trace snap);
+         print_counters obs);
       if out.Sim.deadlock then exit 3;
       exit (exit_code_of o)
   in
@@ -621,11 +603,11 @@ let export_cmd =
    so [explain]/[inspect] pin the engine rather than taking --algorithm
    (a trail for a baseline engine would always come back empty). *)
 let recorded_route built vcs =
-  let o, run =
-    Provenance.with_recording (fun () ->
+  let o, obs =
+    Experiment.observe [ Experiment.Provenance ] (fun () ->
         Experiment.run ~vcs ~engine:"nue" built)
   in
-  match (o.Experiment.table, run) with
+  match (o.Experiment.table, obs.Experiment.provenance) with
   | Error e, _ ->
     Printf.eprintf "routing failed: %s\n" (Engine_error.to_string e);
     exit 1
@@ -945,8 +927,9 @@ let compare_cmd =
   let run built vcs jobs trace =
     Format.printf "%a@.@." Network.pp built.Experiment.net;
     set_jobs jobs;
-    let outcomes, snap =
-      maybe_trace trace (fun () -> Experiment.run_all ~vcs built)
+    let outcomes, obs =
+      Experiment.observe (tracing trace) (fun () ->
+          Experiment.run_all ~vcs built)
     in
     Printf.printf "%-11s %-9s %-10s %-10s %-9s %-12s %-8s\n" "routing"
       "VLs" "gamma_max" "max_hops" "avg_hops" "model GB/s" "time s";
@@ -977,7 +960,7 @@ let compare_cmd =
              validity
          | Ok _, None -> ())
       outcomes;
-    print_trace snap
+    print_counters obs
   in
   Cmd.v
     (Cmd.info "compare"
@@ -988,18 +971,18 @@ let profile_cmd =
   let module P = Nue_obs.Profile in
   let run built algorithm vcs jobs timelines format =
     set_jobs jobs;
-    let o, prof =
-      Experiment.with_profile (fun () ->
+    let o, obs =
+      Experiment.observe [ Experiment.Profile ] (fun () ->
           Experiment.run ~vcs ~engine:algorithm built)
     in
     match format with
     | `Json ->
       print_endline
         (Json.to_string_pretty
-           (json_payload built o
-              [ ("profile", Experiment.profile_to_json prof) ]));
+           (json_payload built o (Experiment.observation_to_json obs)));
       exit (exit_code_of o)
     | _ ->
+      let prof = Option.get obs.Experiment.profile in
       Printf.printf "engine: %s\n" algorithm;
       Printf.printf "window: %.4f s wall\n" prof.P.p_wall_seconds;
       Printf.printf "  serial (outside pool regions): %.4f s\n"

@@ -12,9 +12,10 @@
     This module records exactly that trail. Recording is {e off by
     default}: while disabled, every hook in the routing core reduces to
     a single flag test — no allocation, no work — mirroring the
-    discipline of [Nue_obs]. Enable it around one
-    routing computation with {!with_recording}, then derive per-pair
-    {!explanation}s that are cross-checked against the computed table.
+    discipline of [Nue_obs]. Enable it around one routing computation
+    and {!capture} the run ([Nue_pipeline.Experiment.observe] does both),
+    then derive per-pair {!explanation}s that are cross-checked against
+    the computed table.
 
     Everything recorded is a pure function of the routing inputs, so two
     identical seeded runs produce identical trails (tested). *)
@@ -105,14 +106,9 @@ val enable : unit -> unit
 
 val disable : unit -> unit
 
-val with_recording : (unit -> 'a) -> 'a * run option
-(** Run a thunk with recording enabled (clearing any partial state
-    first) and capture the trails the routing core recorded. [None]
-    when nothing recorded a run (the thunk did not route with Nue).
-    Restores the previous enabled state, also on exception. *)
-
 val capture : unit -> run option
-(** Take the currently recorded run, clearing the recorder. *)
+(** Take the currently recorded run, clearing the recorder. [None] when
+    nothing recorded a run (no Nue routing since the last capture). *)
 
 (** {1 Recording hooks (called by the routing core)}
 

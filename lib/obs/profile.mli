@@ -20,7 +20,7 @@
     never changes routing results — it only reads [Gc] statistics and
     the clock — and the span hooks ride on {!Span}'s own enabled flag,
     so alloc attribution requires span capture to be on (which
-    [Nue_pipeline.Experiment.with_profile] arranges).
+    [Nue_pipeline.Experiment.observe [Profile]] arranges).
 
     Attribution is per-domain, exactly like {!Obs} shards: scopes
     entered on a pool worker accumulate into that worker's tree, which

@@ -141,9 +141,11 @@ val set_scope_hooks : scope_hooks option -> unit
     worker's events arrive as one contiguous well-nested block,
     re-stamped with fresh local ticks so the merged timeline stays
     monotonic. Span {e content} is deterministic per seeded run; the
-    per-worker grouping (hence exact stamp values) depends on the job
-    count, which is why byte-identity claims cover tables, counters and
-    provenance trails but not multi-domain span traces. *)
+    per-worker grouping (hence exact stamp values) is not: workers claim
+    chunks dynamically, so which worker's buffer a span lands in depends
+    on the schedule, even at a fixed job count. That is why
+    byte-identity claims cover tables, counters, provenance trails and
+    single-domain span traces, but not multi-domain span traces. *)
 
 type drained
 (** A drained, immutable copy of one domain's event buffer. *)

@@ -181,21 +181,14 @@ let run_all ?vcs ?jobs b =
     (fun (module E : Engine.ENGINE) -> run ?vcs ?jobs ~engine:E.name b)
     (Engine.all ())
 
-let simulate ?config ~message_bytes table =
+let simulate ?config ?telemetry ~message_bytes table =
   Span.with_ "pipeline.sim" ~args:[ ("message_bytes", Span.Int message_bytes) ]
   @@ fun () ->
   let traffic =
     Traffic.all_to_all_shift table.Table.net ~message_bytes
   in
-  Sim.run ?config table ~traffic
-
-let simulate_with_telemetry ?config ?telemetry ~message_bytes table =
-  Span.with_ "pipeline.sim" ~args:[ ("message_bytes", Span.Int message_bytes) ]
-  @@ fun () ->
-  let traffic =
-    Traffic.all_to_all_shift table.Table.net ~message_bytes
-  in
-  Sim.run_with_telemetry ?config ?telemetry table ~traffic
+  let o, t, _ = Sim.run_with_swaps ?config ?telemetry table ~swaps:[] ~traffic in
+  (o, t)
 
 (* {1 JSON rendering} *)
 
@@ -303,47 +296,6 @@ let trace_to_json (s : Obs.snapshot) =
            ("heap_cut_rate", ratio (c "heap.cuts") (c "heap.decrease_keys"));
            ("pk_reorder_rate", ratio (c "pk.add_reorder") (c "pk.add_calls"))
          ]) ]
-
-(* One recorder's switch and reset, for [recording]. *)
-type recorder = {
-  on : unit -> bool;
-  enable : unit -> unit;
-  disable : unit -> unit;
-  clear : unit -> unit;
-}
-
-let obs_recorder =
-  { on = Obs.enabled; enable = Obs.enable; disable = Obs.disable;
-    clear = Obs.reset }
-
-let span_recorder =
-  { on = Span.enabled; enable = Span.enable; disable = Span.disable;
-    clear = Span.reset }
-
-let profile_recorder =
-  { on = Profile.enabled; enable = Profile.enable; disable = Profile.disable;
-    clear = Profile.reset }
-
-(* Run [f] with [recs] cleared and enabled (in order), then [collect]
-   the result and switch back off, in reverse order, every recorder that
-   was off before — also when [f] raises. *)
-let recording recs collect f =
-  let restore =
-    List.rev_map (fun r -> if r.on () then ignore else r.disable) recs
-  in
-  List.iter (fun r -> r.clear (); r.enable ()) recs;
-  let finish () =
-    let v = collect () in
-    List.iter (fun off -> off ()) restore;
-    v
-  in
-  match f () with
-  | r -> (r, finish ())
-  | exception e ->
-    ignore (finish ());
-    raise e
-
-let with_trace f = recording [ obs_recorder ] Obs.snapshot f
 
 let sim_to_json (o : Sim.outcome) =
   Json.Obj
@@ -665,14 +617,59 @@ let explanation_to_json (table : Table.t) (e : Provenance.explanation) =
       ("impasses", Int e.Provenance.e_impasses);
       ("hops", List (List.map hop_to_json e.Provenance.e_hops)) ]
 
-let with_spans f = recording [ span_recorder ] Span.events f
+(* {1 Observation} *)
 
-(* {1 Resource profiling} *)
+type recorder = Counters | Spans | Profile | Provenance
 
-(* Alloc attribution rides on the span scope hooks, so the tracer must
-   be on for the profiled window too. *)
-let with_profile f =
-  recording [ span_recorder; profile_recorder ] Profile.report f
+type observation = {
+  counters : Obs.snapshot option;
+  spans : Span.event list option;
+  profile : Profile.report option;
+  provenance : Provenance.run option;
+}
+
+let observe recs f =
+  let asked r = List.mem r recs in
+  let counters = asked Counters and profile = asked Profile in
+  (* Alloc attribution rides on the span scope hooks, so the tracer must
+     be on for the profiled window too. *)
+  let spans = profile || asked Spans and provenance = asked Provenance in
+  (* Clear and enable the wanted recorders in this order; [restore]
+     switches back off, in reverse order, those that were off before. *)
+  let restore =
+    List.fold_left
+      (fun restore (wanted, on, enable, disable, clear) ->
+         if not wanted then restore
+         else begin
+           let was_on = on () in
+           clear ();
+           enable ();
+           if was_on then restore else fun () -> disable (); restore ()
+         end)
+      ignore
+      [ (counters, Obs.enabled, Obs.enable, Obs.disable, Obs.reset);
+        (spans, Span.enabled, Span.enable, Span.disable, Span.reset);
+        (profile, Profile.enabled, Profile.enable, Profile.disable,
+         Profile.reset);
+        (provenance, Provenance.enabled, Provenance.enable, Provenance.disable,
+         fun () -> ignore (Provenance.capture ())) ]
+  in
+  let finish () =
+    let take wanted collect = if wanted then Some (collect ()) else None in
+    let o =
+      { counters = take counters Obs.snapshot;
+        spans = take spans Span.events;
+        profile = take profile Profile.report;
+        provenance = Option.join (take provenance Provenance.capture) }
+    in
+    restore ();
+    o
+  in
+  match f () with
+  | r -> (r, finish ())
+  | exception e ->
+    ignore (finish ());
+    raise e
 
 let profile_to_json (p : Profile.report) =
   let rec node_to_json (n : Profile.alloc_node) =
@@ -732,3 +729,8 @@ let profile_to_json (p : Profile.report) =
       ("pool_regions", Json.List (List.map region_to_json p.Profile.p_regions));
       ("pool_regions_dropped", Json.Int p.Profile.p_regions_dropped);
       ("phases", Json.List (List.map node_to_json p.Profile.p_alloc)) ]
+
+let observation_to_json o =
+  List.filter_map Fun.id
+    [ Option.map (fun s -> ("trace", trace_to_json s)) o.counters;
+      Option.map (fun p -> ("profile", profile_to_json p)) o.profile ]

@@ -135,21 +135,15 @@ val time : (unit -> 'a) -> 'a * float
 
 val simulate :
   ?config:Nue_sim.Sim.config ->
-  message_bytes:int ->
-  Nue_routing.Table.t ->
-  Nue_sim.Sim.outcome
-(** Flit-level all-to-all-shift simulation of a routed table (the
-    optional last pipeline stage). *)
-
-val simulate_with_telemetry :
-  ?config:Nue_sim.Sim.config ->
   ?telemetry:Nue_sim.Sim.telemetry_config ->
   message_bytes:int ->
   Nue_routing.Table.t ->
-  Nue_sim.Sim.outcome * Nue_sim.Sim.telemetry
-(** {!simulate} with the simulator's telemetry sink attached: per-link
-    and per-VL occupancy time series, link utilization, latency
-    histogram, and deadlock attribution. *)
+  Nue_sim.Sim.outcome * Nue_sim.Sim.telemetry option
+(** Flit-level all-to-all-shift simulation of a routed table (the
+    optional last pipeline stage). With [telemetry] the simulator's
+    telemetry sink is attached and its record returned: per-link and
+    per-VL occupancy time series, link utilization, latency histogram,
+    and deadlock attribution. *)
 
 (** {1 Saturation sweeps} *)
 
@@ -249,47 +243,54 @@ val explanation_to_json :
     dependency check and the rejected alternatives (including which
     omega condition fired and the deduplicated retry count). *)
 
-(** {1 Tracing (the observability layer)}
+(** {1 Observation (the observability layer)}
 
     Linking the pipeline installs [Unix.gettimeofday] as
     {!Nue_obs.Profile}'s clock, so profiles report wall time. *)
 
-val with_trace : (unit -> 'a) -> 'a * Nue_obs.Obs.snapshot
-(** Run a thunk with counting enabled (resetting all counters first)
-    and return its result together with the final snapshot. Restores
-    the previous enabled/disabled state afterwards, also on
-    exception. *)
+type recorder =
+  | Counters    (** {!Nue_obs.Obs} counter tallies *)
+  | Spans       (** the {!Nue_obs.Span} timeline *)
+  | Profile     (** {!Nue_obs.Profile} alloc/pool attribution; implies
+                    [Spans], since it rides on the span scope hooks *)
+  | Provenance  (** Nue's per-hop decision trails
+                    ({!Nue_core.Provenance}) *)
 
-val with_spans : (unit -> 'a) -> 'a * Nue_obs.Span.event list
-(** Run a thunk with the span tracer reset and enabled and return its
-    result together with the recorded events (render them with
-    {!Nue_obs.Span.to_chrome_string} / {!Nue_obs.Span.flamegraph}
-    before the next reset). Restores the tracer's previous
-    enabled/disabled state; the event buffer is left intact so callers
-    can serialize it. On exception the tracer state is still restored. *)
+type observation = {
+  counters : Nue_obs.Obs.snapshot option;
+  spans : Nue_obs.Span.event list option;
+  profile : Nue_obs.Profile.report option;
+  provenance : Nue_core.Provenance.run option;
+      (** also [None] when the thunk did not route with Nue *)
+}
+(** One field per recorder: [Some] iff {!observe} ran that recorder
+    (it was listed, or implied by [Profile]). *)
 
-val with_profile : (unit -> 'a) -> 'a * Nue_obs.Profile.report
-(** Run a thunk with the resource profiler enabled over a fresh window
-    and return its result together with the {!Nue_obs.Profile.report}:
-    per-span GC/alloc attribution, pool utilization regions,
-    speculation outcomes, and the measured Amdahl serial fraction. The
-    span tracer is reset and enabled too (alloc attribution rides on
-    its scope hooks); both enabled flags are restored afterwards, also
-    on exception. Profiling never changes routing results — the
-    profiler only reads [Gc.quick_stat] and the clock. *)
+val observe : recorder list -> (unit -> 'a) -> 'a * observation
+(** Run a thunk with the listed recorders cleared and enabled, and
+    return its result together with what they recorded. Every recorder
+    that was off before is switched off again afterwards, also on
+    exception. The span buffer is left intact, so callers can render it
+    with {!Nue_obs.Span.to_chrome_string} / {!Nue_obs.Span.flamegraph}
+    before the next reset. Observation never changes routing results:
+    the recorders only count, stamp and read [Gc] statistics and the
+    clock. *)
 
-val profile_to_json : Nue_obs.Profile.report -> Json.t
-(** Render a profile report:
+val observation_to_json : observation -> (string * Json.t) list
+(** The JSON envelope: a ["trace"] key when counters were recorded and a
+    ["profile"] key when profiling was on.
+
+    ["trace"] is [{"counters": ..., "derived": ...}]. The derived
+    section reports the paper's headline instrumentation quantities —
+    omega-memoization hit rate (Section 4.6.1), CDG search/accept rates,
+    total heap ops and cascading-cut rate, and the Pearce-Kelly reorder
+    rate. Keys are sorted by name, so output is stable under
+    registration order.
+
+    ["profile"] is
     [{"wall_seconds", "serial_seconds", "parallel_busy_seconds",
       "serial_fraction", "utilization", "amdahl_max_speedup",
       "speculation": {...}, "pool_regions": [...], "phases": [...]}],
     where [phases] is the alloc tree (per node: calls,
     seconds/self_seconds, minor/major/promoted words with self
     variants, collection counts, children). *)
-
-val trace_to_json : Nue_obs.Obs.snapshot -> Json.t
-(** Render a snapshot as [{"counters": ..., "derived": ...}]. The derived section reports the paper's headline
-    instrumentation quantities — omega-memoization hit rate
-    (Section 4.6.1), CDG search/accept rates, total heap ops and
-    cascading-cut rate, and the Pearce-Kelly reorder rate. Keys are
-    sorted by name, so output is stable under registration order. *)

@@ -173,3 +173,10 @@ let table_fingerprint (t : Nue_routing.Table.t) =
           done)
        t.Table.dests);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Run [f] with the pool default set to [jobs], restoring it afterwards. *)
+let with_jobs jobs f =
+  let module Pool = Nue_parallel.Pool in
+  let before = Pool.default_jobs () in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f

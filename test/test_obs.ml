@@ -1,9 +1,13 @@
 (* Tests for the observability layer (Nue_obs.Obs): registry
    idempotence, disabled-path semantics (no counting, no allocation,
-   identical routing results), snapshot/reset round-trips, and the
-   stability of the JSON rendering under key ordering. *)
+   identical routing results), snapshot/reset round-trips, the
+   stability of the JSON rendering under key ordering, and the
+   Experiment.observe bracket over every subset of the recorders. *)
 
 module Obs = Nue_obs.Obs
+module Span = Nue_obs.Span
+module Profile = Nue_obs.Profile
+module Provenance = Nue_core.Provenance
 module Experiment = Nue_pipeline.Experiment
 module Json = Nue_pipeline.Json
 module Table = Nue_routing.Table
@@ -72,7 +76,8 @@ let same_results_with_and_without_tracing () =
     | Error _ -> Alcotest.fail "nue failed"
   in
   let plain = route () in
-  let traced, snap = Experiment.with_trace route in
+  let traced, obs = Experiment.observe [ Experiment.Counters ] route in
+  let snap = Option.get obs.Experiment.counters in
   Alcotest.(check bool) "tracing captured work" true
     (Obs.find snap "cdg.usable_calls" > 0);
   Alcotest.(check int) "same vls" plain.Table.num_vls traced.Table.num_vls;
@@ -121,22 +126,28 @@ let snapshot_sorted_by_name () =
   scrub ()
 
 let json_stable_under_key_ordering () =
-  (* trace_to_json must not depend on the order of the snapshot's assoc
-     lists: shuffled input renders to the identical string. *)
+  (* The trace rendering must not depend on the order of the snapshot's
+     assoc lists: shuffled input renders to the identical string. *)
   let counters =
     [ ("cdg.usable_calls", 10); ("cdg.memo.hit_used", 4);
       ("cdg.memo.hit_blocked", 1); ("heap.inserts", 7); ("pk.add_calls", 3) ]
   in
+  let render snap =
+    Json.to_string
+      (Json.Obj
+         (Experiment.observation_to_json
+            { Experiment.counters = Some snap; spans = None; profile = None;
+              provenance = None }))
+  in
   let sorted = List.sort (fun (x, _) (y, _) -> compare x y) counters in
-  Alcotest.(check string) "identical rendering"
-    (Json.to_string (Experiment.trace_to_json sorted))
-    (Json.to_string (Experiment.trace_to_json (List.rev counters)))
+  Alcotest.(check string) "identical rendering" (render sorted)
+    (render (List.rev counters))
 
 let trace_json_shape () =
   scrub ();
   let built = Helpers.random_built ~seed:5 () in
-  let _, snap =
-    Experiment.with_trace (fun () ->
+  let _, obs =
+    Experiment.observe [ Experiment.Counters ] (fun () ->
         ignore (Experiment.run ~vcs:4 ~engine:"nue" built))
   in
   let fields = function
@@ -145,7 +156,7 @@ let trace_json_shape () =
   in
   let keys j = List.map fst (fields j) in
   let field name j = List.assoc name (fields j) in
-  let trace = Experiment.trace_to_json snap in
+  let trace = List.assoc "trace" (Experiment.observation_to_json obs) in
   Alcotest.(check (list string)) "top-level keys" [ "counters"; "derived" ]
     (keys trace);
   Alcotest.(check bool) "cdg.usable_calls counted" true
@@ -160,16 +171,17 @@ let trace_json_shape () =
 let derived_rates_are_ratios () =
   scrub ();
   let built = Helpers.random_built ~seed:9 () in
-  let _, snap =
-    Experiment.with_trace (fun () ->
+  let _, obs =
+    Experiment.observe [ Experiment.Counters ] (fun () ->
         ignore (Experiment.run ~vcs:2 ~engine:"nue" built))
   in
+  let snap = Option.get obs.Experiment.counters in
   let hits =
     Obs.find snap "cdg.memo.hit_blocked" + Obs.find snap "cdg.memo.hit_used"
   in
   let calls = Obs.find snap "cdg.usable_calls" in
   Alcotest.(check bool) "calls observed" true (calls > 0);
-  (match Experiment.trace_to_json snap with
+  (match List.assoc "trace" (Experiment.observation_to_json obs) with
    | Json.Obj fields ->
      (match List.assoc "derived" fields with
       | Json.Obj derived ->
@@ -180,6 +192,71 @@ let derived_rates_are_ratios () =
          | _ -> Alcotest.fail "hit rate not a float")
       | _ -> Alcotest.fail "no derived object")
    | _ -> Alcotest.fail "trace not an object");
+  scrub ()
+
+(* {1 The observe bracket} *)
+
+let recorders =
+  Experiment.[ Counters; Spans; Profile; Provenance ]
+
+(* The enabled flag of each recorder, in [recorders] order. *)
+let flags () =
+  [ Obs.enabled (); Span.enabled (); Profile.enabled ();
+    Provenance.enabled () ]
+
+let set_flags on =
+  List.iter
+    (fun (enable, disable) -> if on then enable () else disable ())
+    [ (Obs.enable, Obs.disable); (Span.enable, Span.disable);
+      (Profile.enable, Profile.disable);
+      (Provenance.enable, Provenance.disable) ]
+
+let observe_every_subset () =
+  scrub ();
+  let built = Helpers.random_built ~seed:21 () in
+  let route () =
+    match (Experiment.run ~vcs:4 ~engine:"nue" built).Experiment.table with
+    | Ok t -> Helpers.table_fingerprint t
+    | Error _ -> Alcotest.fail "nue failed"
+  in
+  let plain = route () in
+  let subsets =
+    List.fold_right
+      (fun r acc -> acc @ List.map (fun s -> r :: s) acc)
+      recorders [ [] ]
+  in
+  List.iter
+    (fun recs ->
+       let asked r = List.mem r recs in
+       List.iter
+         (fun before ->
+            let ctx what =
+              Printf.sprintf "%d recorders, flags %b before: %s"
+                (List.length recs) before what
+            in
+            let restored = List.map (fun _ -> before) recorders in
+            set_flags before;
+            let fp, o = Experiment.observe recs route in
+            Alcotest.(check string) (ctx "same table") plain fp;
+            Alcotest.(check (list bool))
+              (ctx "only the asked recorders answer")
+              [ asked Counters; asked Spans || asked Profile; asked Profile;
+                asked Provenance ]
+              [ o.Experiment.counters <> None; o.Experiment.spans <> None;
+                o.Experiment.profile <> None; o.Experiment.provenance <> None ];
+            Alcotest.(check (list bool)) (ctx "flags restored") restored
+              (flags ());
+            (match Experiment.observe recs (fun () -> failwith "boom") with
+             | _ -> Alcotest.fail "exception swallowed"
+             | exception Failure _ -> ());
+            Alcotest.(check (list bool))
+              (ctx "flags restored after an exception") restored (flags ()))
+         [ false; true ])
+    subsets;
+  set_flags false;
+  Span.reset ();
+  Profile.reset ();
+  ignore (Provenance.capture ());
   scrub ()
 
 let suite =
@@ -197,4 +274,6 @@ let suite =
      [ test_case "stable under key ordering" `Quick
          json_stable_under_key_ordering;
        test_case "trace shape" `Quick trace_json_shape;
-       test_case "derived rates" `Quick derived_rates_are_ratios ]) ]
+       test_case "derived rates" `Quick derived_rates_are_ratios ]);
+    ("obs:observe",
+     [ test_case "every recorder subset" `Quick observe_every_subset ]) ]

@@ -38,11 +38,6 @@ module Provenance = Nue_core.Provenance
 
 let () = Nue_core.Nue_engine.ensure_registered ()
 
-let with_jobs jobs f =
-  let before = Pool.default_jobs () in
-  Pool.set_default_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
-
 (* {1 Digest equivalence at jobs 2 and 8} *)
 
 (* The fixtures and recordings are shared with test_compact.ml (the
@@ -57,7 +52,7 @@ let equivalence_case ?(speed = `Quick) jobs (name, build) =
     (Printf.sprintf "digests at jobs=%d: %s" jobs name)
     speed
     (fun () ->
-       with_jobs jobs @@ fun () ->
+       Helpers.with_jobs jobs @@ fun () ->
        let built = build () in
        List.iter
          (fun (engine, expected) ->
@@ -74,12 +69,12 @@ let equivalence_case ?(speed = `Quick) jobs (name, build) =
 (* {1 Merged observability equals sequential} *)
 
 let counters_at jobs built =
-  with_jobs jobs @@ fun () ->
-  let _, snap =
-    Experiment.with_trace (fun () ->
+  Helpers.with_jobs jobs @@ fun () ->
+  let _, obs =
+    Experiment.observe [ Experiment.Counters ] (fun () ->
         Experiment.run ~vcs:4 ~engine:"nue" built)
   in
-  snap
+  Option.get obs.Experiment.counters
 
 let test_obs_counters_equal () =
   let built = Helpers.dense_random_built () in
@@ -95,14 +90,15 @@ let test_obs_counters_equal () =
     [ 2; 8 ]
 
 let trails_at jobs built =
-  with_jobs jobs @@ fun () ->
-  let outcome, run = Provenance.with_recording (fun () ->
-      Experiment.run ~vcs:4 ~engine:"nue" built)
+  Helpers.with_jobs jobs @@ fun () ->
+  let outcome, obs =
+    Experiment.observe [ Experiment.Provenance ] (fun () ->
+        Experiment.run ~vcs:4 ~engine:"nue" built)
   in
   (match outcome.Experiment.table with
    | Error e -> Alcotest.failf "nue: %s" (Engine_error.to_string e)
    | Ok _ -> ());
-  match run with
+  match obs.Experiment.provenance with
   | None -> Alcotest.fail "no provenance run captured"
   | Some r -> r.Provenance.r_trails
 
@@ -192,11 +188,12 @@ let test_span_events_absorbed () =
    sequential run of the same fixture. *)
 
 let spans_at jobs built =
-  with_jobs jobs @@ fun () ->
-  let _, evs =
-    Experiment.with_spans (fun () -> Experiment.run ~vcs:4 ~engine:"nue" built)
+  Helpers.with_jobs jobs @@ fun () ->
+  let _, obs =
+    Experiment.observe [ Experiment.Spans ] (fun () ->
+        Experiment.run ~vcs:4 ~engine:"nue" built)
   in
-  evs
+  Option.get obs.Experiment.spans
 
 let name_multiset evs =
   let tbl = Hashtbl.create 64 in
@@ -284,7 +281,7 @@ let stress_round rng round =
   let dests = Array.sub terms 0 (min ndests (Array.length terms)) in
   Array.sort compare dests;
   let route jobs =
-    with_jobs jobs @@ fun () ->
+    Helpers.with_jobs jobs @@ fun () ->
     Engine.route engine (Engine.spec ~vcs ~seed:round ~dests ?torus net)
   in
   let ctx = Printf.sprintf "round %d: %s/%s vcs=%d" round name engine vcs in

@@ -1,10 +1,10 @@
 (* Resource-attribution profiling (lib/obs/profile.ml).
 
    The load-bearing property is transparency: profiling only *reads*
-   [Gc] statistics and the clock, so routing under [with_profile] must
-   produce the very same tables as routing without it — pinned here
-   against the recorded fingerprints of test_compact.ml at jobs 1 and
-   4. The rest checks the report's arithmetic: serial fraction and
+   [Gc] statistics and the clock, so routing under
+   [Experiment.observe [Profile]] must produce the very same tables as
+   routing without it — pinned here against the recorded fingerprints
+   of test_compact.ml at jobs 1 and 4. The rest checks the report's arithmetic: serial fraction and
    utilization in range, chunk-claim conservation across job counts,
    alloc attribution of nested spans, and the all-zeros report while
    disabled. *)
@@ -17,11 +17,6 @@ module Span = Nue_obs.Span
 module Profile = Nue_obs.Profile
 
 let () = Nue_core.Nue_engine.ensure_registered ()
-
-let with_jobs jobs f =
-  let before = Pool.default_jobs () in
-  Pool.set_default_jobs jobs;
-  Fun.protect ~finally:(fun () -> Pool.set_default_jobs before) f
 
 (* Bracket a test that drives Span/Profile by hand, restoring the
    disabled-at-startup state even on failure so later tests (and the
@@ -52,14 +47,14 @@ let test_profiling_transparent () =
        let expected = List.assoc fixture Test_compact.recorded in
        List.iter
          (fun jobs ->
-            with_jobs jobs @@ fun () ->
+            Helpers.with_jobs jobs @@ fun () ->
             let built = build () in
             List.iter
               (fun engine ->
                  let pinned = List.assoc engine expected in
                  let plain = route_fingerprint engine built in
-                 let profiled, _prof =
-                   Experiment.with_profile (fun () ->
+                 let profiled, _obs =
+                   Experiment.observe [ Experiment.Profile ] (fun () ->
                        route_fingerprint engine built)
                  in
                  Alcotest.(check string)
@@ -97,11 +92,13 @@ let rec check_node (n : Profile.alloc_node) =
   List.iter check_node n.Profile.an_children
 
 let test_report_sanity () =
-  with_jobs 4 @@ fun () ->
+  Helpers.with_jobs 4 @@ fun () ->
   let built = Helpers.dense_random_built () in
-  let _fp, p =
-    Experiment.with_profile (fun () -> route_fingerprint "nue" built)
+  let _fp, obs =
+    Experiment.observe [ Experiment.Profile ] (fun () ->
+        route_fingerprint "nue" built)
   in
+  let p = Option.get obs.Experiment.profile in
   in_unit "serial_fraction" p.Profile.p_serial_fraction;
   in_unit "utilization" p.Profile.p_utilization;
   if p.Profile.p_serial_seconds < 0.0

@@ -28,11 +28,11 @@ let recorded_run =
             (Experiment.Torus3d
                { dims = (4, 4, 3); terminals = 2; redundancy = 1 }))
      in
-     let o, run =
-       Provenance.with_recording (fun () ->
+     let o, obs =
+       Experiment.observe [ Experiment.Provenance ] (fun () ->
            Experiment.run ~vcs:2 ~engine:"nue" built)
      in
-     match (o.Experiment.table, run) with
+     match (o.Experiment.table, obs.Experiment.provenance) with
      | Ok table, Some run -> (built, table, run)
      | _ -> Alcotest.fail "nue failed on the faulted torus")
 
@@ -75,11 +75,11 @@ let trails_deterministic () =
          (Experiment.Torus3d
             { dims = (4, 4, 3); terminals = 2; redundancy = 1 }))
   in
-  let o, run2 =
-    Provenance.with_recording (fun () ->
+  let o, obs =
+    Experiment.observe [ Experiment.Provenance ] (fun () ->
         Experiment.run ~vcs:2 ~engine:"nue" built)
   in
-  match (o.Experiment.table, run2) with
+  match (o.Experiment.table, obs.Experiment.provenance) with
   | Ok table2, Some run2 ->
     Alcotest.(check string) "rendered trails byte-identical"
       (all_explanations table1 run1)
@@ -133,11 +133,11 @@ let acceptance_pair_blocked_and_fallback () =
          (Experiment.Torus3d
             { dims = (6, 5, 5); terminals = 2; redundancy = 2 }))
   in
-  let o, run =
-    Provenance.with_recording (fun () ->
+  let o, obs =
+    Experiment.observe [ Experiment.Provenance ] (fun () ->
         Experiment.run ~vcs:1 ~engine:"nue" built)
   in
-  match (o.Experiment.table, run) with
+  match (o.Experiment.table, obs.Experiment.provenance) with
   | Ok table, Some run ->
     let found = ref None in
     (try
@@ -230,8 +230,9 @@ let recording_does_not_change_routing () =
     | Error _ -> Alcotest.fail "nue failed"
   in
   let plain = route () in
-  let recorded, run = Provenance.with_recording route in
-  Alcotest.(check bool) "a run was recorded" true (run <> None);
+  let recorded, obs = Experiment.observe [ Experiment.Provenance ] route in
+  Alcotest.(check bool) "a run was recorded" true
+    (obs.Experiment.provenance <> None);
   Array.iteri
     (fun pos per_node ->
        Alcotest.(check (array int)) "identical next_channel"

@@ -165,11 +165,13 @@ let parse_json (s : string) : json =
    intact for the caller to inspect. *)
 let traced_run ?(seed = 21) () =
   let built = Helpers.random_built ~seed () in
-  let (), _events =
-    Experiment.with_spans (fun () ->
+  let (), _obs =
+    Experiment.observe [ Experiment.Spans ] (fun () ->
         match (Experiment.run ~vcs:4 ~engine:"nue" built).Experiment.table with
         | Ok table ->
-          ignore (Experiment.simulate_with_telemetry ~message_bytes:128 table)
+          ignore
+            (Experiment.simulate ~telemetry:Nue_sim.Sim.default_telemetry
+               ~message_bytes:128 table)
         | Error _ -> Alcotest.fail "nue failed")
   in
   ()
@@ -244,6 +246,10 @@ let spans_nest_strictly () =
   scrub ()
 
 let identical_runs_trace_identically () =
+  (* Byte-identity is promised for one domain only: with more, which
+     worker's buffer a span lands in depends on the schedule (span.mli).
+     test_parallel pins the multi-domain structure instead. *)
+  Helpers.with_jobs 1 @@ fun () ->
   scrub ();
   traced_run ~seed:33 ();
   let first = Span.to_chrome_string () in
