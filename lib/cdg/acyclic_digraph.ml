@@ -1,14 +1,15 @@
 (* Pearce & Kelly, "A dynamic topological sort algorithm for directed
-   acyclic graphs" (JEA 2006). The order is a permutation [ord] with
-   inverse [pos_of]. Inserting u -> v with ord.(v) < ord.(u) triggers a
-   local discovery: F = vertices reachable from v with order <= ord.(u),
-   B = vertices reaching u with order >= ord.(v). If u is in F the edge
-   closes a cycle. Otherwise the vertices of B ∪ F are reassigned to the
-   sorted pool of their old order slots, B first.
+   acyclic graphs" (JEA 2006). The order is a permutation [ord].
+   Inserting u -> v with ord.(v) < ord.(u) triggers a local discovery:
+   F = vertices reachable from v with order <= ord.(u), B = vertices
+   reaching u with order >= ord.(v). If u is in F the edge closes a
+   cycle. Otherwise the vertices of B ∪ F are reassigned to the sorted
+   pool of their old order slots, B first ([reassign], shared with the
+   used-edge order of {!Complete_cdg}).
 
-   Adjacency lives in the shared CSR pool and the bounded discoveries
-   are iterative with stamp-array seen sets, so a try_add_edge probe on
-   a million-channel LASH layer allocates only the two discovery lists. *)
+   Adjacency lives in the shared CSR pool; the bounded discoveries use
+   their own result buffers as work queues with stamp-array seen sets,
+   so a try_add_edge probe allocates nothing. *)
 
 module Obs = Nue_obs.Obs
 module Adjacency = Nue_structures.Adjacency
@@ -19,6 +20,106 @@ let c_reorder = Obs.counter "pk.add_reorder"
 let c_cycle = Obs.counter "pk.add_cycle"
 let c_moved = Obs.counter "pk.reorder_moved" (* vertices reassigned *)
 
+type scratch = {
+  fwd : int array;
+  bwd : int array;
+  tmp : int array; (* radix sort scatter target *)
+  counts : int array; (* radix digit counters *)
+  vbits : int; (* bits of a vertex id in a packed key *)
+}
+
+let scratch n =
+  let rec bits b = if 1 lsl b >= n then b else bits (b + 1) in
+  { fwd = Array.make n 0;
+    bwd = Array.make n 0;
+    tmp = Array.make n 0;
+    counts = Array.make 256 0;
+    vbits = bits 1 }
+
+let fwd s = s.fwd
+
+let bwd s = s.bwd
+
+(* Ascending sort of the packed keys [a.(0 .. len-1)]: insertion sort
+   for the small sets typical of local reorders, else an LSD radix sort
+   on the slot field a byte per pass, skipping bytes all keys share. *)
+let sort_packed s a len =
+  if len <= 32 then
+    for i = 1 to len - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let c = s.counts in
+    let src = ref a and dst = ref s.tmp in
+    let shift = ref s.vbits in
+    while !shift < 2 * s.vbits do
+      let x = !src and y = !dst and sh = !shift in
+      Array.fill c 0 256 0;
+      for i = 0 to len - 1 do
+        let d = (x.(i) lsr sh) land 255 in
+        c.(d) <- c.(d) + 1
+      done;
+      if c.((x.(0) lsr sh) land 255) < len then begin
+        let sum = ref 0 in
+        for d = 0 to 255 do
+          let k = c.(d) in
+          c.(d) <- !sum;
+          sum := !sum + k
+        done;
+        for i = 0 to len - 1 do
+          let v = x.(i) in
+          let d = (v lsr sh) land 255 in
+          y.(c.(d)) <- v;
+          c.(d) <- c.(d) + 1
+        done;
+        src := y;
+        dst := x
+      end;
+      shift := sh + 8
+    done;
+    if !src != a then Array.blit !src 0 a 0 len
+  end
+
+(* Each vertex is packed with its slot as [ord lsl vbits lor v], so
+   sorting the packed ints sorts by slot (slots are distinct) and the
+   vertex is still recoverable. The merge walks both sorted slot lists
+   while the k-th vertex of B ++ F takes the k-th smallest slot; only
+   [ord] is written, so the packed buffers stay readable throughout. *)
+let reassign s ~ord ~nback ~nfwd =
+  let vb = s.vbits and back = s.bwd and fwd = s.fwd in
+  let mask = (1 lsl vb) - 1 in
+  for i = 0 to nback - 1 do
+    back.(i) <- (ord.(back.(i)) lsl vb) lor back.(i)
+  done;
+  for i = 0 to nfwd - 1 do
+    fwd.(i) <- (ord.(fwd.(i)) lsl vb) lor fwd.(i)
+  done;
+  sort_packed s back nback;
+  sort_packed s fwd nfwd;
+  let i = ref 0 and j = ref 0 in
+  for k = 0 to nback + nfwd - 1 do
+    let slot =
+      if !j >= nfwd || (!i < nback && back.(!i) < fwd.(!j)) then begin
+        let x = back.(!i) lsr vb in
+        incr i;
+        x
+      end
+      else begin
+        let x = fwd.(!j) lsr vb in
+        incr j;
+        x
+      end
+    in
+    let key = if k < nback then back.(k) else fwd.(k - nback) in
+    ord.(key land mask) <- slot
+  done
+
 type t = {
   n : int;
   succ : Adjacency.t;
@@ -26,7 +127,7 @@ type t = {
   ord : int array; (* vertex -> topological index *)
   stamp : int array; (* scratch: visited iff stamp.(v) = clock *)
   mutable clock : int;
-  stack : int array; (* scratch for the bounded discoveries *)
+  pk : scratch;
 }
 
 let create n =
@@ -36,7 +137,7 @@ let create n =
     ord = Array.init n (fun i -> i);
     stamp = Array.make n 0;
     clock = 0;
-    stack = Array.make (max n 1) 0 }
+    pk = scratch n }
 
 let mem_edge t u v = Adjacency.mem t.succ u v
 
@@ -50,34 +151,34 @@ let bump t u v =
   ignore (Adjacency.add t.succ u v : bool);
   ignore (Adjacency.add t.pred v u : bool)
 
-exception Cycle
-
-(* Bounded DFS over [adj] from [start], visiting only vertices whose
-   order passes [bound]. Raises [Cycle] as soon as [target] qualifies.
-   Returns the visited list (collection order is irrelevant: callers
-   re-sort by [ord], a permutation). *)
-let bounded_reach t adj ~start ~target ~bound =
+(* Bounded discovery over [adj] from [start] into [buf], visiting only
+   vertices whose order lies in [lo, hi]. Returns the set size, or -1
+   as soon as [target] qualifies. *)
+let discover t adj buf ~start ~target ~lo ~hi =
   t.clock <- t.clock + 1;
   let c = t.clock in
-  let visited = ref [ start ] in
   t.stamp.(start) <- c;
-  t.stack.(0) <- start;
-  let sp = ref 1 in
-  while !sp > 0 do
-    decr sp;
-    let x = t.stack.(!sp) in
-    Adjacency.iter adj x (fun y ->
-        if bound t.ord.(y) then begin
-          if y = target then raise Cycle;
-          if t.stamp.(y) <> c then begin
-            t.stamp.(y) <- c;
-            visited := y :: !visited;
-            t.stack.(!sp) <- y;
-            incr sp
-          end
-        end)
+  buf.(0) <- start;
+  let len = ref 1 and head = ref 0 and found = ref false in
+  while (not !found) && !head < !len do
+    let x = buf.(!head) in
+    incr head;
+    let deg = Adjacency.degree adj x in
+    let i = ref 0 in
+    while (not !found) && !i < deg do
+      let y = Adjacency.succ_ix adj x !i in
+      incr i;
+      let o = t.ord.(y) in
+      if o >= lo && o <= hi && t.stamp.(y) <> c then
+        if y = target then found := true
+        else begin
+          t.stamp.(y) <- c;
+          buf.(!len) <- y;
+          incr len
+        end
+    done
   done;
-  !visited
+  if !found then -1 else !len
 
 let try_add_edge t u v =
   Obs.incr c_add;
@@ -99,32 +200,26 @@ let try_add_edge t u v =
     let lower = t.ord.(v) and upper = t.ord.(u) in
     (* Forward discovery from v, bounded by [upper]; finding u there
        means v already reaches u and the edge would close a cycle. *)
-    match bounded_reach t t.succ ~start:v ~target:u ~bound:(fun o -> o <= upper)
-    with
-    | exception Cycle ->
+    let nfwd =
+      discover t t.succ t.pk.fwd ~start:v ~target:u ~lo:lower ~hi:upper
+    in
+    if nfwd < 0 then begin
       Obs.incr c_cycle;
       false
-    | f_list ->
+    end
+    else begin
       (* Backward discovery from u, bounded by [lower]. [target] is -1:
          nothing reaching u from above can be v, or fwd would have
          cycled. *)
-      let b_list =
-        bounded_reach t t.pred ~start:u ~target:(-1)
-          ~bound:(fun o -> o >= lower)
+      let nback =
+        discover t t.pred t.pk.bwd ~start:u ~target:(-1) ~lo:lower ~hi:upper
       in
-      (* Reassign: sort both sets by current order; their vertices get
-         the union of their old slots, B's before F's. *)
-      let by_ord a b = compare t.ord.(a) t.ord.(b) in
-      let fs = List.sort by_ord f_list and bs = List.sort by_ord b_list in
-      let vertices = bs @ fs in
-      let slots =
-        List.sort compare (List.map (fun x -> t.ord.(x)) vertices)
-      in
+      reassign t.pk ~ord:t.ord ~nback ~nfwd;
       Obs.incr c_reorder;
-      Obs.add c_moved (List.length vertices);
-      List.iter2 (fun x s -> t.ord.(x) <- s) vertices slots;
+      Obs.add c_moved (nback + nfwd);
       bump t u v;
       true
+    end
   end
 
 (* Graphviz rendering: vertices annotated with their current Pearce-

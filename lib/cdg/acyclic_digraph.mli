@@ -35,6 +35,31 @@ val order : t -> int -> int
 (** Current topological index of a vertex (all indices distinct;
     edges always point from lower to higher index). *)
 
+(** {1 The reorder step}
+
+    Shared with {!Complete_cdg}'s order over used channel
+    dependencies. *)
+
+type scratch
+(** Int buffers for one graph's discoveries and reorders, allocated once
+    so that a reorder allocates nothing. Not shareable across domains. *)
+
+val scratch : int -> scratch
+(** [scratch n]: buffers for vertices [0 .. n-1]. *)
+
+val fwd : scratch -> int array
+(** The buffer holding the forward discovery set F. *)
+
+val bwd : scratch -> int array
+(** The buffer holding the backward discovery set B. *)
+
+val reassign : scratch -> ord:int array -> nback:int -> nfwd:int -> unit
+(** The Pearce-Kelly reorder step. [ord] is a permutation of
+    [0 .. n-1]; [bwd.(0 .. nback-1)] (B) and [fwd.(0 .. nfwd-1)] (F)
+    are disjoint vertex sets. Their vertices take the sorted pool of
+    their current [ord] slots: B's in their old order first, then F's.
+    Overwrites both prefixes. *)
+
 val to_dot : ?isolated:bool -> t -> string
 (** Graphviz rendering: vertices annotated with their topological index,
     edges labelled with their multiplicity when above 1. Vertices with

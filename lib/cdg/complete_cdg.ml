@@ -5,8 +5,9 @@ module Span = Nue_obs.Span
 (* Section 4.6.1 effectiveness counters: the omega labels memoize the
    acyclicity question, so "hits" are calls answered from stored state
    — (a) blocked, (b) already used — and "misses" are the calls that
-   needed real work: the subgraph-id comparison of (c) or the DFS of
-   (d). *)
+   needed real work: the subgraph-id comparison of (c) or the recheck
+   of (d). [cdg.search_visited] counts the channels visited by the
+   bounded discoveries that keep and query the topological order. *)
 let c_usable = Obs.counter "cdg.usable_calls"
 let c_hit_blocked = Obs.counter "cdg.memo.hit_blocked"
 let c_hit_used = Obs.counter "cdg.memo.hit_used"
@@ -44,9 +45,15 @@ type t = {
      canonicalizes on read. *)
   group_parent : int array;
   group_size : int array; (* member count (channels + edges) per root *)
-  (* DFS scratch: visit stamps avoid clearing a visited array per search. *)
+  (* Pearce-Kelly topological order over all channels: every used edge
+     p -> q has ord.(p) < ord.(q). Unused channels sit anywhere. *)
+  ord : int array;
+  (* Discovery scratch, private to each graph and clone: visit stamps
+     avoid clearing a visited array per search, and the two discovery
+     sets double as their own work queues. *)
   stamp : int array;
   mutable clock : int;
+  pk : Acyclic_digraph.scratch;
   mutable searches : int;
   nedges : int;
   mutable journal : journal option;
@@ -97,22 +104,29 @@ let create net =
     next_id = 1;
     group_parent = Array.init (nc + 1) (fun i -> i);
     group_size = Array.make (nc + 1) 0;
+    ord = Array.init nc (fun i -> i);
     stamp = Array.make nc 0;
     clock = 0;
+    pk = Acyclic_digraph.scratch nc;
     searches = 0;
     nedges = !nedges;
     journal = None }
 
 (* Scratch clones share the immutable structure (succ/pred/slot arrays,
    the network) and copy only the mutable routing state — cheap enough
-   to take one per destination speculation. *)
+   to take one per destination speculation. The discovery scratch is
+   fresh: clones run on other domains. *)
 let clone t =
+  let nc = Array.length t.succ in
   { t with
     succ_state = Array.map Array.copy t.succ_state;
     chan_state = Array.copy t.chan_state;
     group_parent = Array.copy t.group_parent;
     group_size = Array.copy t.group_size;
-    stamp = Array.copy t.stamp;
+    ord = Array.copy t.ord;
+    stamp = Array.make nc 0;
+    clock = 0;
+    pk = Acyclic_digraph.scratch nc;
     journal = None }
 
 let copy_state_into ~src ~dst =
@@ -126,9 +140,8 @@ let copy_state_into ~src ~dst =
   Array.blit src.chan_state 0 dst.chan_state 0 nc;
   Array.blit src.group_parent 0 dst.group_parent 0 (nc + 1);
   Array.blit src.group_size 0 dst.group_size 0 (nc + 1);
-  Array.blit src.stamp 0 dst.stamp 0 nc;
+  Array.blit src.ord 0 dst.ord 0 nc;
   dst.next_id <- src.next_id;
-  dst.clock <- src.clock;
   dst.searches <- src.searches
 
 let journal_create () = { ops = Array.make 96 0; jlen = 0 }
@@ -229,31 +242,78 @@ let mark_edge_used t ~from ~slot id =
   t.succ_state.(from).(slot) <- id;
   t.group_size.(id) <- t.group_size.(id) + 1
 
-(* Depth-first search for [target] starting at [start], following used
-   edges only (they all carry the same subgraph id, so no id filtering is
-   needed beyond the used test). Condition (d) of Section 4.6.1. *)
-let reaches t ~start ~target =
-  t.searches <- t.searches + 1;
+(* Bounded forward discovery over used edges from [start], visiting
+   only channels ordered at or below [hi] = ord.(target): a used path
+   start ~> target climbs the order, so it cannot leave that window.
+   Fills [fwd] with the set F and returns its size, or -1 as soon as
+   [target] is reached. *)
+let discover_fwd t ~start ~target ~hi =
   t.clock <- t.clock + 1;
-  let stamp = t.clock in
-  let stack = ref [ start ] in
-  let found = ref false in
-  while (not !found) && !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | c :: rest ->
-      stack := rest;
-      if c = target then found := true
-      else if t.stamp.(c) <> stamp then begin
-        Obs.incr c_visited;
-        t.stamp.(c) <- stamp;
-        let s = t.succ.(c) and st = t.succ_state.(c) in
-        for i = 0 to Array.length s - 1 do
-          if st.(i) >= 1 then stack := s.(i) :: !stack
-        done
-      end
+  let c = t.clock in
+  let fwd = Acyclic_digraph.fwd t.pk in
+  t.stamp.(start) <- c;
+  fwd.(0) <- start;
+  let len = ref 1 and head = ref 0 and found = ref (start = target) in
+  while (not !found) && !head < !len do
+    let x = fwd.(!head) in
+    incr head;
+    let s = t.succ.(x) and st = t.succ_state.(x) in
+    let i = ref 0 in
+    while (not !found) && !i < Array.length s do
+      let y = s.(!i) in
+      if st.(!i) >= 1 && t.ord.(y) <= hi && t.stamp.(y) <> c then
+        if y = target then found := true
+        else begin
+          t.stamp.(y) <- c;
+          fwd.(!len) <- y;
+          incr len
+        end;
+      incr i
+    done
   done;
-  !found
+  Obs.add c_visited !len;
+  if !found then -1 else !len
+
+(* Bounded backward discovery over used edges into [start], visiting
+   only channels ordered at or above [lo]. Fills [bwd] (the set B) and
+   returns its size. *)
+let discover_bwd t ~start ~lo =
+  t.clock <- t.clock + 1;
+  let c = t.clock in
+  let bwd = Acyclic_digraph.bwd t.pk in
+  t.stamp.(start) <- c;
+  bwd.(0) <- start;
+  let len = ref 1 and head = ref 0 in
+  while !head < !len do
+    let x = bwd.(!head) in
+    incr head;
+    let p = t.pred.(x) and ps = t.pred_slot.(x) in
+    for i = 0 to Array.length p - 1 do
+      let y = p.(i) in
+      if t.succ_state.(y).(ps.(i)) >= 1 && t.ord.(y) >= lo
+         && t.stamp.(y) <> c
+      then begin
+        t.stamp.(y) <- c;
+        bwd.(!len) <- y;
+        incr len
+      end
+    done
+  done;
+  Obs.add c_visited !len;
+  !len
+
+(* Restore the order before admitting [from -> q] against it, given F
+   already in [fwd]: B is [from] alone when [from] was unused (it has
+   no used edges), otherwise the backward discovery. *)
+let reorder t ~from ~q ~nfwd ~fresh_from =
+  let nback =
+    if fresh_from then begin
+      (Acyclic_digraph.bwd t.pk).(0) <- from;
+      1
+    end
+    else discover_bwd t ~start:from ~lo:t.ord.(q)
+  in
+  Acyclic_digraph.reassign t.pk ~ord:t.ord ~nback ~nfwd
 
 type verdict =
   | Blocked_memo
@@ -278,6 +338,33 @@ let verdict_to_string = function
   | Distinct_merge -> "distinct-merge"
   | Search_acyclic -> "search-acyclic"
   | Search_cycle -> "search-cycle"
+
+(* (d) admission inside one subgraph: the order already holds. *)
+let admit_within t ~from ~slot om =
+  Obs.incr c_accept;
+  mark_edge_used t ~from ~slot om;
+  match t.journal with Some j -> jpush j 1 from slot | None -> ()
+
+(* The omega recheck against the order: ord.(q) < ord.(from), so a used
+   path q ~> from, if any, lies inside the window the forward discovery
+   covers. An admission then reorders, reusing that discovery as F. *)
+let recheck t ~from ~slot ~q ~om ~commit =
+  let nfwd = discover_fwd t ~start:q ~target:from ~hi:t.ord.(from) in
+  if nfwd < 0 then begin
+    if commit then begin
+      Obs.incr c_reject;
+      t.succ_state.(from).(slot) <- -1;
+      match t.journal with Some j -> jpush j 2 from slot | None -> ()
+    end;
+    Search_cycle
+  end
+  else begin
+    if commit then begin
+      reorder t ~from ~q ~nfwd ~fresh_from:false;
+      admit_within t ~from ~slot om
+    end;
+    Search_acyclic
+  end
 
 let usable t ~from ~slot ~commit =
   Obs.incr c_usable;
@@ -304,6 +391,19 @@ let usable t ~from ~slot ~commit =
       Obs.incr c_distinct;
       if commit then begin
         Obs.incr c_accept;
+        (* Against the order, reorder first. F is q alone when q was
+           unused; otherwise the forward discovery cannot reach [from]
+           in another subgraph and just collects F. *)
+        if t.ord.(from) > t.ord.(q) then begin
+          let nfwd =
+            if om_q = 0 then begin
+              (Acyclic_digraph.fwd t.pk).(0) <- q;
+              1
+            end
+            else discover_fwd t ~start:q ~target:from ~hi:t.ord.(from)
+          in
+          reorder t ~from ~q ~nfwd ~fresh_from:(om_p = 0)
+        end;
         (* One admission op covers the whole (c) commit: the inner
            [use_channel] calls replay implicitly through the real
            graph's own [try_use_edge], so suspend journaling around
@@ -320,43 +420,30 @@ let usable t ~from ~slot ~commit =
       Distinct_merge
     end
     else begin
+      (* (d) both endpoints carry the same subgraph id. *)
       Obs.incr c_search;
-      (* The omega recheck: both endpoints carry the same subgraph id,
-         so a used-edge DFS must decide acyclicity (condition d). One
-         span per recheck; the visited-count delta is its payload. *)
-      let found =
-        if Span.enabled () then begin
-          let span =
-            Span.enter "cdg.omega_recheck"
-              ~args:[ ("from", Span.Int from); ("to", Span.Int q) ]
-          in
-          let v0 = Obs.peek c_visited in
-          let found = reaches t ~start:q ~target:from in
-          Span.exit span
-            ~args:
-              [ ("cycle_found", Span.Bool found);
-                ("visited", Span.Int (Obs.peek c_visited - v0)) ];
-          found
-        end
-        else reaches t ~start:q ~target:from
-      in
-      if not found then begin
-        (* (d) same subgraph but no used path back: still acyclic. *)
-        if commit then begin
-          Obs.incr c_accept;
-          mark_edge_used t ~from ~slot om_p;
-          (match t.journal with Some j -> jpush j 1 from slot | None -> ())
-        end;
+      t.searches <- t.searches + 1;
+      if t.ord.(from) < t.ord.(q) then begin
+        (* The order already agrees, so no used path q ~> from exists. *)
+        if commit then admit_within t ~from ~slot om_p;
         Search_acyclic
       end
-      else begin
-        if commit then begin
-          Obs.incr c_reject;
-          t.succ_state.(from).(slot) <- -1;
-          (match t.journal with Some j -> jpush j 2 from slot | None -> ())
-        end;
-        Search_cycle
+      else if Span.enabled () then begin
+        (* One span per discovery; the visited-count delta is its
+           payload. *)
+        let span =
+          Span.enter "cdg.omega_recheck"
+            ~args:[ ("from", Span.Int from); ("to", Span.Int q) ]
+        in
+        let v0 = Obs.peek c_visited in
+        let v = recheck t ~from ~slot ~q ~om:om_p ~commit in
+        Span.exit span
+          ~args:
+            [ ("cycle_found", Span.Bool (v = Search_cycle));
+              ("visited", Span.Int (Obs.peek c_visited - v0)) ];
+        v
       end
+      else recheck t ~from ~slot ~q ~om:om_p ~commit
     end
   end
 

@@ -13,13 +13,30 @@
       acyclic used subgraph the element belongs to.
 
     [try_use_edge] implements Algorithm 3: the four conditions (a)-(d),
-    with a depth-first search only in case (d). Subgraph ids live in a
-    union-find forest (union by size, so the surviving id matches the
-    historical smaller-into-larger relabeling); stored omegas may be
-    stale aliases, and every read canonicalizes through [channel_omega]/
-    [edge_omega]. All mutations keep the used subgraph acyclic — this
-    is the invariant Nue's deadlock-freedom proof (Lemma 2) rests
-    on. *)
+    with a search only in case (d). Subgraph ids live in a union-find
+    forest (union by size, so the surviving id matches the historical
+    smaller-into-larger relabeling); stored omegas may be stale aliases,
+    and every read canonicalizes through [channel_omega]/[edge_omega].
+    All mutations keep the used subgraph acyclic — this is the invariant
+    Nue's deadlock-freedom proof (Lemma 2) rests on.
+
+    {b Order invariant.} Since all used edges together are acyclic, the
+    graph keeps one Pearce-Kelly topological order [ord] over all
+    channels (Pearce & Kelly, JEA 2006; the technique of
+    {!Acyclic_digraph}): every used edge p -> q has
+    [ord p < ord q]. Unused channels sit anywhere in it. The (d) recheck
+    of [from -> q] uses it in two ways:
+    - [ord from < ord q]: no used path q ~> from can exist, so the edge
+      is admitted with no search;
+    - otherwise a forward discovery from q visits only channels with
+      [ord <= ord from]; reaching [from] means a cycle.
+    A committed (c) or (d) admission against the order reorders the
+    forward set and the backward discovery from [from] (channels with
+    [ord >= ord q]) among their own slots. A channel unused before the
+    admission is its own discovery set. Reachability alone decides a
+    verdict, so the order never changes one. Clones, [copy_state_into]
+    and [replay] carry or maintain it; its discovery buffers are
+    allocated once per graph, so a recheck allocates nothing. *)
 
 type t
 
@@ -33,7 +50,8 @@ val clone : t -> t
     the original. The clone's journal starts unset. *)
 
 val copy_state_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s mutable routing state with [src]'s — resetting a
+(** Overwrite [dst]'s mutable routing state (edge and channel states,
+    subgraph ids, the topological order) with [src]'s — resetting a
     scratch clone to the authoritative graph between speculations
     without re-allocating. Both must stem from the same network.
     @raise Invalid_argument if the channel counts differ. *)
@@ -91,8 +109,10 @@ type verdict =
   | Used_memo       (** (b): already used, hence already known acyclic *)
   | Distinct_merge  (** (c): endpoints in distinct (or fresh) acyclic
                         subgraphs — merged without a search *)
-  | Search_acyclic  (** (d): same subgraph, DFS found no used path back *)
-  | Search_cycle    (** (d): same subgraph, DFS found a cycle — blocked *)
+  | Search_acyclic  (** (d): same subgraph, no used path back (the
+                        order agrees, or the bounded search found none) *)
+  | Search_cycle    (** (d): same subgraph, the bounded search found a
+                        used path back — blocked *)
 
 val verdict_ok : verdict -> bool
 (** Whether the verdict admits the edge ([try_use_edge]'s boolean). *)
@@ -108,7 +128,8 @@ val try_use_edge_v : t -> from:int -> slot:int -> verdict
 
 val would_use_edge : t -> from:int -> slot:int -> bool
 (** Like [try_use_edge] but without committing: [true] iff the edge is
-    usable right now. Does not block the edge on failure. *)
+    usable right now. Does not block the edge on failure and never
+    reorders. *)
 
 (** {1 Speculative journaling}
 
@@ -157,8 +178,9 @@ val count_states : t -> used:int ref -> blocked:int ref -> unused:int ref -> uni
 (** Tally edge states. *)
 
 val cycle_searches : t -> int
-(** Number of depth-first searches performed so far (condition (d) of
-    Section 4.6.1) — instruments how effective the omega memoization is. *)
+(** Number of condition-(d) rechecks so far (Section 4.6.1), whether the
+    order answered them or a bounded search ran — instruments how
+    effective the omega memoization is. *)
 
 val used_digraph : t -> Acyclic_digraph.t
 (** The used subgraph re-checked into an {!Acyclic_digraph} (vertices are

@@ -72,7 +72,7 @@ type speculation = {
   sp_nexts : int array;
   sp_journal : Complete_cdg.journal;
   sp_stats : Nue_dijkstra.stats;
-  sp_searches : int; (* DFS count of this speculation alone *)
+  sp_searches : int; (* recheck count of this speculation alone *)
   sp_trail : Provenance.pending option;
 }
 
@@ -282,9 +282,9 @@ let route_with_stats ?(options = default_options) ?dests ?sources ~vcs net =
               route_subset ~options ~cdg ~escape ~weights ~scale ~net
                 ~sources ~layer ~stats ~spec_searches ~misspecs ~commit
                 subset;
-              (* The layer's DFS total: searches on the authoritative
+              (* The layer's recheck total: rechecks on the authoritative
                  graph (escape seeding, replays, re-routes) plus each
-                 committed speculation's own searches — both independent
+                 committed speculation's own rechecks — both independent
                  of the domain schedule. *)
               cycle_searches :=
                 !cycle_searches + Complete_cdg.cycle_searches cdg

@@ -6,6 +6,7 @@ module Digraph = Nue_cdg.Digraph
 module Acyclic_digraph = Nue_cdg.Acyclic_digraph
 module Complete_cdg = Nue_cdg.Complete_cdg
 module Prng = Nue_structures.Prng
+module Obs = Nue_obs.Obs
 
 let test_case = Alcotest.test_case
 
@@ -147,6 +148,36 @@ let pk_stress_order_invariant () =
     if o < 0 || o >= n || seen.(o) then Alcotest.fail "order not a permutation";
     seen.(o) <- true
   done
+
+(* The shared reorder step against the list-sorting formulation it
+   replaced: B's vertices in old order, then F's, take the sorted pool of
+   their old slots. Sizes straddle the insertion-sort/radix threshold. *)
+let pk_reassign_matches_reference () =
+  let p = Prng.create 5 in
+  List.iter
+    (fun (n, nback, nfwd) ->
+       let ord = Array.init n (fun i -> i) in
+       Prng.shuffle p ord;
+       let vs = Array.init n (fun i -> i) in
+       Prng.shuffle p vs;
+       let back = Array.to_list (Array.sub vs 0 nback)
+       and fwd = Array.to_list (Array.sub vs nback nfwd) in
+       let expected = Array.copy ord in
+       let by_ord a b = compare ord.(a) ord.(b) in
+       let moved = List.sort by_ord back @ List.sort by_ord fwd in
+       List.iter2
+         (fun v slot -> expected.(v) <- slot)
+         moved
+         (List.sort compare (List.map (fun v -> ord.(v)) moved));
+       let s = Acyclic_digraph.scratch n in
+       List.iteri (fun i v -> (Acyclic_digraph.bwd s).(i) <- v) back;
+       List.iteri (fun i v -> (Acyclic_digraph.fwd s).(i) <- v) fwd;
+       Acyclic_digraph.reassign s ~ord ~nback ~nfwd;
+       Alcotest.(check (array int))
+         (Printf.sprintf "n=%d |B|=%d |F|=%d" n nback nfwd)
+         expected ord)
+    [ (10, 1, 1); (10, 3, 4); (50, 0, 20); (100, 40, 33); (1000, 300, 500);
+      (70000, 20000, 30000) ]
 
 (* {1 Complete CDG} *)
 
@@ -354,6 +385,178 @@ let cdg_omega_consistency () =
       (Complete_cdg.succ cdg c)
   done
 
+(* {2 Differential check of the bounded omega recheck}
+
+   Reference: the unbounded used-edge DFS condition (d) used to run,
+   rebuilt on the public [succ]/[edge_omega] API. An edge is usable iff
+   it is not blocked and either already used or no used path leads from
+   its head back to its tail. *)
+let used_path cdg ~start ~target =
+  let seen = Array.make (Complete_cdg.num_channels cdg) false in
+  let stack = ref [ start ] and found = ref false in
+  while (not !found) && !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | c :: rest ->
+      stack := rest;
+      if c = target then found := true
+      else if not seen.(c) then begin
+        seen.(c) <- true;
+        Array.iteri
+          (fun slot q ->
+             if Complete_cdg.edge_omega cdg ~from:c ~slot >= 1 then
+               stack := q :: !stack)
+          (Complete_cdg.succ cdg c)
+      end
+  done;
+  !found
+
+let reference_usable cdg ~from ~slot =
+  match Complete_cdg.edge_omega cdg ~from ~slot with
+  | -1 -> false
+  | 0 ->
+    not
+      (used_path cdg ~start:(Complete_cdg.succ cdg from).(slot) ~target:from)
+  | _ -> true
+
+(* [steps] seeded random operations on [cdg]; every verdict must equal
+   the reference's answer taken before the call. Tallies the
+   condition-(d) verdicts so callers can check both outcomes ran. *)
+let differential_ops p cdg ~steps ~acyclic ~cycle =
+  let nc = Complete_cdg.num_channels cdg in
+  for step = 1 to steps do
+    let c = Prng.int p nc in
+    let succ = Complete_cdg.succ cdg c in
+    let k = Prng.int p 10 in
+    if k = 0 then ignore (Complete_cdg.use_channel cdg c)
+    else if Array.length succ > 0 then begin
+      let slot = Prng.int p (Array.length succ) in
+      let expected = reference_usable cdg ~from:c ~slot in
+      let got, what =
+        if k <= 6 then begin
+          let v = Complete_cdg.try_use_edge_v cdg ~from:c ~slot in
+          (match v with
+           | Complete_cdg.Search_acyclic -> incr acyclic
+           | Complete_cdg.Search_cycle -> incr cycle
+           | _ -> ());
+          (Complete_cdg.verdict_ok v, "try_use_edge")
+        end
+        else (Complete_cdg.would_use_edge cdg ~from:c ~slot, "would_use_edge")
+      in
+      if got <> expected then
+        Alcotest.failf "step %d: %s %d->%d says %b, reference %b" step what c
+          (succ.(slot)) got expected
+    end
+  done
+
+let check_used_state name cdg =
+  Alcotest.(check bool) (name ^ ": used subgraph acyclic") true
+    (Complete_cdg.used_subgraph_acyclic cdg);
+  match Complete_cdg.used_digraph cdg with
+  | (_ : Acyclic_digraph.t) -> ()
+  | exception Invalid_argument msg -> Alcotest.failf "%s: %s" name msg
+
+let edge_states cdg =
+  List.concat
+    (List.init (Complete_cdg.num_channels cdg) (fun c ->
+         List.init
+           (Array.length (Complete_cdg.succ cdg c))
+           (fun slot -> compare (Complete_cdg.edge_omega cdg ~from:c ~slot) 0)))
+
+let cdg_recheck_matches_reference () =
+  let nets =
+    [ ("random", Helpers.random_net ~switches:12 ~links:30 ());
+      ("random-dense", Helpers.random_net ~seed:5 ~switches:8 ~links:24 ());
+      ("torus",
+       (Nue_netgraph.Topology.torus3d ~dims:(3, 3, 2) ~terminals_per_switch:1
+          ()).Nue_netgraph.Topology.net) ]
+  in
+  List.iter
+    (fun (name, net) ->
+       let acyclic = ref 0 and cycle = ref 0 in
+       for seed = 1 to 4 do
+         let name = Printf.sprintf "%s seed %d" name seed in
+         let p = Prng.create seed in
+         let cdg = Complete_cdg.create net in
+         differential_ops p cdg ~steps:300 ~acyclic ~cycle;
+         (* Speculation: a clone with a journal replays onto an
+            unchanged original exactly. *)
+         let scratch = Complete_cdg.clone cdg in
+         let j = Complete_cdg.journal_create () in
+         Complete_cdg.set_journal scratch (Some j);
+         differential_ops p scratch ~steps:200 ~acyclic ~cycle;
+         Complete_cdg.set_journal scratch None;
+         Alcotest.(check bool) (name ^ ": clean replay") true
+           (Complete_cdg.replay cdg j);
+         Alcotest.(check (list int)) (name ^ ": replay reproduces the clone")
+           (edge_states scratch) (edge_states cdg);
+         (* The scratch keeps its own order while the original moves
+            on; a reset must carry the original's order over. *)
+         differential_ops p scratch ~steps:100 ~acyclic ~cycle;
+         differential_ops p cdg ~steps:200 ~acyclic ~cycle;
+         Complete_cdg.copy_state_into ~src:cdg ~dst:scratch;
+         Complete_cdg.journal_clear j;
+         Complete_cdg.set_journal scratch (Some j);
+         differential_ops p scratch ~steps:300 ~acyclic ~cycle;
+         Complete_cdg.set_journal scratch None;
+         (* A replay against moved-on state may fail, but what it
+            admits must keep the order sound. *)
+         differential_ops p cdg ~steps:100 ~acyclic ~cycle;
+         ignore (Complete_cdg.replay cdg j : bool);
+         differential_ops p cdg ~steps:300 ~acyclic ~cycle;
+         check_used_state (name ^ " scratch") scratch;
+         check_used_state name cdg
+       done;
+       Alcotest.(check bool) (name ^ ": admitted by search") true (!acyclic > 0);
+       Alcotest.(check bool) (name ^ ": refused by search") true (!cycle > 0))
+    nets
+
+(* A condition-(d) admission the order already agrees with runs no
+   discovery: it still counts as a recheck, but visits nothing. Only
+   edges from lower to higher channel ids are used, so the initial
+   identity order never needs a reorder. *)
+let cdg_ordered_recheck_visits_nothing () =
+  let net = Helpers.random_net ~switches:10 ~links:24 () in
+  let cdg = Complete_cdg.create net in
+  let p = Prng.create 77 in
+  let nc = Complete_cdg.num_channels cdg in
+  let skipped = ref [] in
+  for c = 0 to nc - 1 do
+    Array.iteri
+      (fun slot q ->
+         if q > c then
+           if Prng.int p 2 = 0 then
+             ignore (Complete_cdg.try_use_edge cdg ~from:c ~slot : bool)
+           else skipped := (c, slot) :: !skipped)
+      (Complete_cdg.succ cdg c)
+  done;
+  let from, slot =
+    List.find
+      (fun (c, slot) ->
+         let q = (Complete_cdg.succ cdg c).(slot) in
+         let om = Complete_cdg.channel_omega cdg c in
+         om >= 1 && om = Complete_cdg.channel_omega cdg q)
+      (List.rev !skipped)
+  in
+  let was_on = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_on then Obs.disable ())
+    (fun () ->
+       let peek name = Obs.peek (Obs.counter name) in
+       let visited0 = peek "cdg.search_visited"
+       and search0 = peek "cdg.memo.miss_search"
+       and rechecks0 = Complete_cdg.cycle_searches cdg in
+       Alcotest.(check string) "admitted by condition (d)" "search-acyclic"
+         (Complete_cdg.verdict_to_string
+            (Complete_cdg.try_use_edge_v cdg ~from ~slot));
+       Alcotest.(check int) "no channel visited" 0
+         (peek "cdg.search_visited" - visited0);
+       Alcotest.(check int) "one miss_search" 1
+         (peek "cdg.memo.miss_search" - search0);
+       Alcotest.(check int) "one recheck" 1
+         (Complete_cdg.cycle_searches cdg - rechecks0))
+
 let suite =
   [ ("digraph",
      [ test_case "edges and multiplicity" `Quick digraph_edges;
@@ -366,7 +569,9 @@ let suite =
        test_case "rejects cycle" `Quick pk_rejects_cycle;
        test_case "multiplicity and removal" `Quick pk_multiplicity_and_removal;
        test_case "agrees with offline check" `Quick pk_agrees_with_offline_check;
-       test_case "order invariant under stress" `Quick pk_stress_order_invariant ]);
+       test_case "order invariant under stress" `Quick pk_stress_order_invariant;
+       test_case "reassign matches reference" `Quick
+         pk_reassign_matches_reference ]);
     ("complete_cdg",
      [ test_case "Fig. 3 structure" `Quick cdg_fig3_structure;
        test_case "no u-turns" `Quick cdg_no_u_turns;
@@ -378,5 +583,9 @@ let suite =
        test_case "random usage keeps acyclicity" `Quick cdg_random_usage_invariant;
        test_case "blocked is memoized" `Quick cdg_blocked_stays_blocked;
        test_case "blocked edges justified" `Quick cdg_blocked_edges_justified;
-       test_case "omega consistency" `Quick cdg_omega_consistency ]) ]
+       test_case "omega consistency" `Quick cdg_omega_consistency;
+       test_case "recheck matches reference DFS" `Quick
+         cdg_recheck_matches_reference;
+       test_case "ordered recheck visits nothing" `Quick
+         cdg_ordered_recheck_visits_nothing ]) ]
 
